@@ -1,8 +1,7 @@
 #include "cpu/executor.hh"
 
-// The per-uop bodies (agen, execScalarAlu, execScalarFp, execVector,
-// execUop) are inline in executor.hh so the superblock fast path's
-// threaded-code handlers can absorb them; only the flow-level loop
+// The per-uop handlers are inline in executor.hh so the superblock
+// fast path's threaded code can absorb them; only the flow-level loop
 // lives here.
 
 namespace csd
@@ -26,29 +25,18 @@ FunctionalExecutor::executeInto(const MacroOp &macro, const UopFlow &flow,
     result.halted = false;
     result.dynUops.reserve(flow.expandedCount());
 
-    auto run_range = [&](std::size_t first, std::size_t last) {
-        for (std::size_t i = first; i < last && !result.halted; ++i) {
-            const Uop &uop = flow.uops[i];
-            DynUop dyn;
-            dyn.uop = &uop;
-            execUop(uop, dyn, result, macro.nextPc());
-            result.dynUops.push_back(dyn);
-        }
-    };
+    if (flow.loop && (flow.loop->bodyEnd > flow.uops.size() ||
+                      flow.loop->bodyStart > flow.loop->bodyEnd))
+        csd_panic("FunctionalExecutor: malformed micro-loop");
 
-    if (flow.loop) {
-        const MicroLoop &loop = *flow.loop;
-        if (loop.bodyEnd > flow.uops.size() ||
-            loop.bodyStart > loop.bodyEnd) {
-            csd_panic("FunctionalExecutor: malformed micro-loop");
-        }
-        run_range(0, loop.bodyStart);
-        for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
-            run_range(loop.bodyStart, loop.bodyEnd);
-        run_range(loop.bodyEnd, flow.uops.size());
-    } else {
-        run_range(0, flow.uops.size());
-    }
+    flow.forEachExpanded([&](const Uop &uop) {
+        if (result.halted)
+            return;
+        DynUop dyn;
+        dyn.uop = &uop;
+        execUop(uop, dyn, result);
+        result.dynUops.push_back(dyn);
+    });
 
     state_.pc = result.nextPc;
 }

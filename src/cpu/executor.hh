@@ -72,18 +72,19 @@ class FunctionalExecutor
 
     // --- uop-grain entry points ------------------------------------------
     //
-    // The superblock fast path (sim/fastpath.cc) executes pre-resolved
-    // threaded-code streams and calls straight into the per-category
-    // handlers below, bypassing execUop()'s opcode dispatch. They are
-    // the same functions the interpreter uses, so both tiers share one
-    // definition of every uop's semantics. The bodies live in this
-    // header (below the class) so the fast path's dispatch loop can
-    // inline them; the semantics are defined exactly once either way.
+    // One member per UopHandler group (uop/uop.hh), all with the same
+    // signature: execUop's switch and the superblock fast path's
+    // threaded-code labels (sim/fastpath.cc) are both generated from
+    // the uop.hh handler lists and call these, so both tiers share one
+    // definition of every uop's semantics. @p dyn receives the
+    // effective address (memory uops) or branch outcome; branches
+    // redirect @p result's nextPc. The bodies live in this header
+    // (below the class) so both dispatch loops can inline them.
 
-// The per-category handlers are forced inline: each sits behind one
-// call site per dispatch loop, but the loops (execUop's switch, the
-// fast path's threaded code) are big enough that the inliner's growth
-// budget would otherwise leave a per-uop call on the hottest edge in
+// The handlers are forced inline: each sits behind one call site per
+// dispatch loop, but the loops (execUop's switch, the fast path's
+// threaded code) are big enough that the inliner's growth budget
+// would otherwise leave a per-uop call on the hottest edge in
 // cache-only simulation.
 #if defined(__GNUC__) || defined(__clang__)
 #define CSD_EXEC_INLINE __attribute__((always_inline)) inline
@@ -91,21 +92,36 @@ class FunctionalExecutor
 #define CSD_EXEC_INLINE inline
 #endif
 
-    /** Execute one uop (full opcode dispatch). Updates state_. */
-    void execUop(const Uop &uop, DynUop &dyn, FlowResult &result,
-                 Addr fall_through);
+    /** Execute one uop (handler-table dispatch). Updates state_. */
+    void execUop(const Uop &uop, DynUop &dyn, FlowResult &result);
 
     /** Effective address of a memory/LEA uop. */
     CSD_EXEC_INLINE Addr agen(const Uop &uop) const;
 
-    /** Scalar integer ALU ops (Add..Lea). */
-    CSD_EXEC_INLINE void execScalarAlu(const Uop &uop);
-
+    CSD_EXEC_INLINE void execLoad(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execStore(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execStoreImm(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execLoadVec(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execStoreVec(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execBr(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execBrInd(const Uop &, DynUop &, FlowResult &);
+    /** Architecturally a no-op; the timing layers evict [agen]. */
+    CSD_EXEC_INLINE void execCacheFlush(const Uop &, DynUop &,
+                                        FlowResult &);
+    /** rdtsc: the architectural value is the cycle hint. */
+    CSD_EXEC_INLINE void execReadCycles(const Uop &, DynUop &,
+                                        FlowResult &);
+    CSD_EXEC_INLINE void execNop(const Uop &, DynUop &, FlowResult &);
+    CSD_EXEC_INLINE void execHalt(const Uop &, DynUop &, FlowResult &);
+    /** 128-bit vector ops (VAdd..FSqrtPs, VMov, VInsert). */
+    CSD_EXEC_INLINE void execVector(const Uop &, DynUop &, FlowResult &);
+    /** Vector lane -> integer register. */
+    CSD_EXEC_INLINE void execVExtract(const Uop &, DynUop &, FlowResult &);
     /** Scalar float ops (FAddS..FMulSd). */
-    CSD_EXEC_INLINE void execScalarFp(const Uop &uop);
-
-    /** 128-bit vector ops (VAdd..VInsert). */
-    CSD_EXEC_INLINE void execVector(const Uop &uop);
+    CSD_EXEC_INLINE void execScalarFp(const Uop &, DynUop &, FlowResult &);
+    /** Scalar integer ALU ops (Add..Lea). */
+    CSD_EXEC_INLINE void execScalarAlu(const Uop &, DynUop &,
+                                       FlowResult &);
 
   private:
     std::uint64_t aluSrc2(const Uop &uop) const;
@@ -166,7 +182,7 @@ FunctionalExecutor::aluSrc2(const Uop &uop) const
 }
 
 inline void
-FunctionalExecutor::execScalarAlu(const Uop &uop)
+FunctionalExecutor::execScalarAlu(const Uop &uop, DynUop &, FlowResult &)
 {
     using exec_detail::maskToWidth;
     using exec_detail::signBit;
@@ -335,7 +351,7 @@ FunctionalExecutor::execScalarAlu(const Uop &uop)
 }
 
 inline void
-FunctionalExecutor::execScalarFp(const Uop &uop)
+FunctionalExecutor::execScalarFp(const Uop &uop, DynUop &, FlowResult &)
 {
     const std::uint64_t a = state_.readInt(uop.src1);
     const std::uint64_t b = uop.immData
@@ -384,7 +400,7 @@ FunctionalExecutor::execScalarFp(const Uop &uop)
 }
 
 inline void
-FunctionalExecutor::execVector(const Uop &uop)
+FunctionalExecutor::execVector(const Uop &uop, DynUop &, FlowResult &)
 {
     if (uop.op == MicroOpcode::VInsert) {
         Vec128 vec = state_.readVecReg(uop.dst);
@@ -513,96 +529,117 @@ FunctionalExecutor::execVector(const Uop &uop)
 }
 
 inline void
-FunctionalExecutor::execUop(const Uop &uop, DynUop &dyn, FlowResult &result,
-                            Addr fall_through)
+FunctionalExecutor::execLoad(const Uop &uop, DynUop &dyn, FlowResult &)
 {
-    switch (uop.op) {
-      case MicroOpcode::Load: {
-        dyn.effAddr = agen(uop);
-        const std::uint64_t val = state_.mem.read(dyn.effAddr, uop.memSize);
-        if (uop.dst.valid())
-            state_.writeInt(uop.dst, val);
-        break;
-      }
-      case MicroOpcode::Store: {
-        dyn.effAddr = agen(uop);
-        state_.mem.write(dyn.effAddr, uop.memSize,
-                         state_.readInt(uop.src3));
-        break;
-      }
-      case MicroOpcode::StoreImm: {
-        dyn.effAddr = agen(uop);
-        state_.mem.write(dyn.effAddr, uop.memSize,
-                         static_cast<std::uint64_t>(uop.imm));
-        break;
-      }
-      case MicroOpcode::LoadVec: {
-        dyn.effAddr = agen(uop);
-        state_.writeVecReg(uop.dst, state_.mem.readVec(dyn.effAddr));
-        break;
-      }
-      case MicroOpcode::StoreVec: {
-        dyn.effAddr = agen(uop);
-        state_.mem.writeVec(dyn.effAddr, state_.readVecReg(uop.src3));
-        break;
-      }
-      case MicroOpcode::Br: {
-        dyn.taken = evalCond(uop.cond, state_.flags);
-        if (dyn.taken) {
-            result.nextPc = uop.target;
-            result.tookBranch = true;
-        }
-        break;
-      }
-      case MicroOpcode::BrInd: {
-        dyn.taken = true;
-        result.nextPc = state_.readInt(uop.src1);
+    dyn.effAddr = agen(uop);
+    const std::uint64_t val = state_.mem.read(dyn.effAddr, uop.memSize);
+    if (uop.dst.valid())
+        state_.writeInt(uop.dst, val);
+}
+
+inline void
+FunctionalExecutor::execStore(const Uop &uop, DynUop &dyn, FlowResult &)
+{
+    dyn.effAddr = agen(uop);
+    state_.mem.write(dyn.effAddr, uop.memSize, state_.readInt(uop.src3));
+}
+
+inline void
+FunctionalExecutor::execStoreImm(const Uop &uop, DynUop &dyn, FlowResult &)
+{
+    dyn.effAddr = agen(uop);
+    state_.mem.write(dyn.effAddr, uop.memSize,
+                     static_cast<std::uint64_t>(uop.imm));
+}
+
+inline void
+FunctionalExecutor::execLoadVec(const Uop &uop, DynUop &dyn, FlowResult &)
+{
+    dyn.effAddr = agen(uop);
+    state_.writeVecReg(uop.dst, state_.mem.readVec(dyn.effAddr));
+}
+
+inline void
+FunctionalExecutor::execStoreVec(const Uop &uop, DynUop &dyn, FlowResult &)
+{
+    dyn.effAddr = agen(uop);
+    state_.mem.writeVec(dyn.effAddr, state_.readVecReg(uop.src3));
+}
+
+inline void
+FunctionalExecutor::execBr(const Uop &uop, DynUop &dyn, FlowResult &result)
+{
+    dyn.taken = evalCond(uop.cond, state_.flags);
+    if (dyn.taken) {
+        result.nextPc = uop.target;
         result.tookBranch = true;
-        break;
-      }
-      case MicroOpcode::CacheFlush:
-        // Architecturally a no-op; the timing layers evict [agen].
-        dyn.effAddr = agen(uop);
-        break;
-      case MicroOpcode::ReadCycles:
-        state_.writeInt(uop.dst, state_.cycleHint);
-        break;
-      case MicroOpcode::Nop:
-        break;
-      case MicroOpcode::Halt:
-        state_.halted = true;
-        result.halted = true;
-        break;
-      case MicroOpcode::VAdd: case MicroOpcode::VSub:
-      case MicroOpcode::VAnd: case MicroOpcode::VOr:
-      case MicroOpcode::VXor: case MicroOpcode::VMulLo16:
-      case MicroOpcode::VShlI: case MicroOpcode::VShrI:
-      case MicroOpcode::VMov:
-      case MicroOpcode::FAddPs: case MicroOpcode::FMulPs:
-      case MicroOpcode::FSubPs: case MicroOpcode::FAddPd:
-      case MicroOpcode::FMulPd: case MicroOpcode::FSubPd:
-      case MicroOpcode::FDivPs: case MicroOpcode::FSqrtPs:
-      case MicroOpcode::VInsert:
-        execVector(uop);
-        break;
-      case MicroOpcode::VExtract: {
-        const Vec128 &vec = state_.readVecReg(uop.src1);
-        state_.writeInt(uop.dst,
-                        vec.lane(8, static_cast<unsigned>(uop.imm) & 1));
-        break;
-      }
-      case MicroOpcode::FAddS: case MicroOpcode::FSubS:
-      case MicroOpcode::FMulS: case MicroOpcode::FDivS:
-      case MicroOpcode::FSqrtS:
-      case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
-      case MicroOpcode::FMulSd:
-        execScalarFp(uop);
-        break;
-      default:
-        execScalarAlu(uop);
-        break;
     }
-    (void)fall_through;
+}
+
+inline void
+FunctionalExecutor::execBrInd(const Uop &uop, DynUop &dyn,
+                              FlowResult &result)
+{
+    dyn.taken = true;
+    result.nextPc = state_.readInt(uop.src1);
+    result.tookBranch = true;
+}
+
+inline void
+FunctionalExecutor::execCacheFlush(const Uop &uop, DynUop &dyn,
+                                   FlowResult &)
+{
+    dyn.effAddr = agen(uop);
+}
+
+inline void
+FunctionalExecutor::execReadCycles(const Uop &uop, DynUop &, FlowResult &)
+{
+    state_.writeInt(uop.dst, state_.cycleHint);
+}
+
+inline void
+FunctionalExecutor::execNop(const Uop &, DynUop &, FlowResult &)
+{
+}
+
+inline void
+FunctionalExecutor::execHalt(const Uop &, DynUop &, FlowResult &result)
+{
+    state_.halted = true;
+    result.halted = true;
+}
+
+inline void
+FunctionalExecutor::execVExtract(const Uop &uop, DynUop &, FlowResult &)
+{
+    const Vec128 &vec = state_.readVecReg(uop.src1);
+    state_.writeInt(uop.dst, vec.lane(8, static_cast<unsigned>(uop.imm) & 1));
+}
+
+inline void
+FunctionalExecutor::execUop(const Uop &uop, DynUop &dyn, FlowResult &result)
+{
+    // Switch on the opcode, with the cases generated from the handler
+    // table, so each opcode jumps straight to its group: one indirect
+    // branch per uop, and the ALU group's own switch on the opcode
+    // threads into this one. (Looking the group up first and switching
+    // on it costs a second, poorly predicted indirect branch.)
+    switch (uop.op) {
+#define CSD_EXEC_CASE(opcode, handler)                                    \
+      case MicroOpcode::opcode:                                           \
+        goto handler_##handler;
+      CSD_UOP_OPCODE_HANDLERS(CSD_EXEC_CASE)
+#undef CSD_EXEC_CASE
+      default:
+        goto handler_ScalarAlu;  // panics on an out-of-range opcode
+    }
+#define CSD_EXEC_HANDLER(name)                                            \
+  handler_##name:                                                         \
+    exec##name(uop, dyn, result);                                         \
+    return;
+    CSD_UOP_HANDLERS(CSD_EXEC_HANDLER)
+#undef CSD_EXEC_HANDLER
 }
 
 } // namespace csd

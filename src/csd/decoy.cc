@@ -102,20 +102,7 @@ injectDecoys(UopFlow &flow, const AddrRange &range, bool is_instr,
 std::uint64_t
 countDecoyUops(const UopFlow &flow)
 {
-    std::uint64_t count = 0;
-    for (const Uop &uop : flow.uops)
-        if (uop.decoy)
-            ++count;
-    if (flow.loop && flow.loop->tripCount > 1) {
-        std::uint64_t body = 0;
-        for (unsigned i = flow.loop->bodyStart; i < flow.loop->bodyEnd;
-             ++i) {
-            if (flow.uops[i].decoy)
-                ++body;
-        }
-        count += body * (flow.loop->tripCount - 1);
-    }
-    return count;
+    return flow.countExpanded([](const Uop &uop) { return uop.decoy; });
 }
 
 } // namespace csd

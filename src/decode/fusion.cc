@@ -37,50 +37,16 @@ applySpTracking(UopFlow &flow, const FrontEndParams &params)
 std::uint64_t
 deliveredSlots(const UopFlow &flow)
 {
-    std::uint64_t slots = 0;
-    for (const Uop &uop : flow.uops)
-        if (!uop.eliminated && !uop.fusedFollower)
-            ++slots;
-    if (flow.loop && flow.loop->tripCount > 1) {
-        std::uint64_t body = 0;
-        for (unsigned i = flow.loop->bodyStart; i < flow.loop->bodyEnd; ++i) {
-            const Uop &uop = flow.uops[i];
-            if (!uop.eliminated && !uop.fusedFollower)
-                ++body;
-        }
-        slots += body * (flow.loop->tripCount - 1);
-    }
-    if (flow.loop && flow.loop->tripCount == 0) {
-        // Body never executes; remove its static slots.
-        for (unsigned i = flow.loop->bodyStart; i < flow.loop->bodyEnd; ++i) {
-            const Uop &uop = flow.uops[i];
-            if (!uop.eliminated && !uop.fusedFollower)
-                --slots;
-        }
-    }
-    return slots;
+    return flow.countExpanded([](const Uop &uop) {
+        return !uop.eliminated && !uop.fusedFollower;
+    });
 }
 
 std::uint64_t
 deliveredUops(const UopFlow &flow)
 {
-    std::uint64_t count = 0;
-    for (const Uop &uop : flow.uops)
-        if (!uop.eliminated)
-            ++count;
-    if (flow.loop && flow.loop->tripCount > 1) {
-        std::uint64_t body = 0;
-        for (unsigned i = flow.loop->bodyStart; i < flow.loop->bodyEnd; ++i)
-            if (!flow.uops[i].eliminated)
-                ++body;
-        count += body * (flow.loop->tripCount - 1);
-    }
-    if (flow.loop && flow.loop->tripCount == 0) {
-        for (unsigned i = flow.loop->bodyStart; i < flow.loop->bodyEnd; ++i)
-            if (!flow.uops[i].eliminated)
-                --count;
-    }
-    return count;
+    return flow.countExpanded(
+        [](const Uop &uop) { return !uop.eliminated; });
 }
 
 bool

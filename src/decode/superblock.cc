@@ -1,44 +1,9 @@
 #include "decode/superblock.hh"
 
+#include "decode/fusion.hh"
+
 namespace csd
 {
-
-SbHandler
-sbHandlerFor(MicroOpcode op)
-{
-    switch (op) {
-      case MicroOpcode::Load:        return SbHandler::Load;
-      case MicroOpcode::Store:       return SbHandler::Store;
-      case MicroOpcode::StoreImm:    return SbHandler::StoreImm;
-      case MicroOpcode::LoadVec:     return SbHandler::LoadVec;
-      case MicroOpcode::StoreVec:    return SbHandler::StoreVec;
-      case MicroOpcode::Br:          return SbHandler::Br;
-      case MicroOpcode::BrInd:       return SbHandler::BrInd;
-      case MicroOpcode::CacheFlush:  return SbHandler::CacheFlush;
-      case MicroOpcode::ReadCycles:  return SbHandler::ReadCycles;
-      case MicroOpcode::Nop:         return SbHandler::Nop;
-      case MicroOpcode::VAdd: case MicroOpcode::VSub:
-      case MicroOpcode::VAnd: case MicroOpcode::VOr:
-      case MicroOpcode::VXor: case MicroOpcode::VMulLo16:
-      case MicroOpcode::VShlI: case MicroOpcode::VShrI:
-      case MicroOpcode::VMov:
-      case MicroOpcode::FAddPs: case MicroOpcode::FMulPs:
-      case MicroOpcode::FSubPs: case MicroOpcode::FAddPd:
-      case MicroOpcode::FMulPd: case MicroOpcode::FSubPd:
-      case MicroOpcode::FDivPs: case MicroOpcode::FSqrtPs:
-      case MicroOpcode::VInsert:
-        return SbHandler::Vector;
-      case MicroOpcode::VExtract:    return SbHandler::VExtract;
-      case MicroOpcode::FAddS: case MicroOpcode::FSubS:
-      case MicroOpcode::FMulS: case MicroOpcode::FDivS:
-      case MicroOpcode::FSqrtS:
-      case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
-      case MicroOpcode::FMulSd:
-        return SbHandler::ScalarFp;
-      default:
-        return SbHandler::ScalarAlu;
-    }
-}
 
 namespace
 {
@@ -70,9 +35,8 @@ sbExitName(SbExit exit)
     // without a sidecar name fails to compile under -Werror=switch,
     // and the static_assert catches a count drift even without it.
     static_assert(numSbExits == 5,
-                  "new SbExit enumerator: name it here, give it "
-                  "sbExitMeta (sim/fastpath.hh), and extend the "
-                  "tier-equivalence exit-protocol proof");
+                  "new SbExit enumerator: name it here and cover it in "
+                  "tests/sim/test_superblock.cc");
     switch (exit) {
       case SbExit::End:       return "end";
       case SbExit::Branch:    return "branch";
@@ -99,25 +63,6 @@ SuperblockBuilder::build(Addr entry_pc) const
     block->epoch = epoch;
 
     const MacroOp *const code_base = prog.code().data();
-
-    // Emit one uop of the flow's dynamic expansion into the stream,
-    // folding in the per-macro accounting deltas stepCacheOnly derives
-    // at run time.
-    const auto emit = [&](const Uop &uop, SbMacro &macro) {
-        SbOp sbop;
-        sbop.uop = uop;
-        sbop.energy = energy.uopEnergy(uop);
-        sbop.handler = sbHandlerFor(uop.op);
-        sbop.vpu = onVpu(uop);
-        sbop.counted = !uop.eliminated;
-        block->uops.push_back(sbop);
-        ++macro.dynCount;
-        if (!uop.eliminated) {
-            ++macro.delivered;
-            if (uop.decoy)
-                ++macro.decoyDelta;
-        }
-    };
 
     Addr pc = entry_pc;
     for (;;) {
@@ -151,30 +96,18 @@ SuperblockBuilder::build(Addr entry_pc) const
         macro.flow = &flow;
         macro.ctx = entry->ctx;
         macro.fallThrough = op->nextPc();
-        macro.fetchFirst = blockAlign(op->pc);
-        macro.fetchLast = blockAlign(op->pc + op->length - 1);
         macro.uopBegin = static_cast<std::uint32_t>(block->uops.size());
-        // Build provenance: the dispatch loop performs the full guard
-        // sequence before every macro (sim/fastpath.cc); the prover
-        // audits these bits against the effects in the uop range.
-        macro.guards = sbGuardAll;
-
-        // Mirror FunctionalExecutor::executeInto's expansion order:
-        // prologue, body x tripCount, epilogue.
-        if (flow.loop) {
-            const MicroLoop &loop = *flow.loop;
-            macro.unrollTrips = loop.tripCount;
-            for (std::size_t i = 0; i < loop.bodyStart; ++i)
-                emit(flow.uops[i], macro);
-            for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
-                for (std::size_t i = loop.bodyStart; i < loop.bodyEnd; ++i)
-                    emit(flow.uops[i], macro);
-            for (std::size_t i = loop.bodyEnd; i < flow.uops.size(); ++i)
-                emit(flow.uops[i], macro);
-        } else {
-            for (const Uop &uop : flow.uops)
-                emit(uop, macro);
-        }
+        macro.dynCount = static_cast<std::uint32_t>(expand);
+        macro.delivered = deliveredUops(flow);
+        flow.forEachExpanded([&](const Uop &uop) {
+            SbOp sbop;
+            sbop.uop = uop;
+            sbop.energy = energy.uopEnergy(uop);
+            sbop.handler = uopHandler(uop);
+            sbop.vpu = onVpu(uop);
+            sbop.counted = !uop.eliminated;
+            block->uops.push_back(sbop);
+        });
         macro.uopEnd = static_cast<std::uint32_t>(block->uops.size());
         block->macros.push_back(macro);
 

@@ -7,11 +7,12 @@
  * entries of the predecoded-flow cache (flow_cache.hh) that are valid
  * under the current translator epoch — into one contiguous uop stream.
  * Everything the interpreter re-derives per macro-op is resolved once
- * at build time: the handler each uop dispatches to, whether it takes
- * a timing probe, its dynamic energy, its VPU residency, and the
- * per-macro accounting deltas (delivered slots, decoy uops, dynamic
- * uop count). Micro-loops are unrolled into the stream, so execution
- * is a single linear walk with one indirect jump per uop.
+ * at build time: the handler group each uop dispatches to (read from
+ * the uop.hh handler table the interpreter also switches on), its
+ * dynamic energy, its VPU residency, and the per-macro counts
+ * (delivered and dynamic uops). Micro-loops are unrolled into the
+ * stream in UopFlow::forEachExpanded order, so execution is a single
+ * linear walk with one indirect jump per uop.
  *
  * Invalidation reuses the translator-epoch protocol verbatim: a
  * superblock records the epoch it was built under, and the fast path
@@ -44,31 +45,6 @@
 namespace csd
 {
 
-/**
- * Per-uop handler, resolved from the opcode at build time so the
- * execution loop dispatches through a label table (or a dense switch
- * on compilers without computed goto) instead of re-classifying the
- * opcode per dynamic instance.
- */
-enum class SbHandler : std::uint8_t
-{
-    Load,        //!< scalar load (D- or, for decoys, I-side probe)
-    Store,       //!< scalar store (register data)
-    StoreImm,    //!< scalar store (immediate data)
-    LoadVec,     //!< 16-byte vector load
-    StoreVec,    //!< 16-byte vector store
-    Br,          //!< conditional direct branch
-    BrInd,       //!< indirect branch
-    CacheFlush,  //!< clflush: evict + fixed latency
-    ReadCycles,  //!< rdtsc: architectural value is the cycle hint
-    Nop,         //!< nothing (timing/energy accounting only)
-    Vector,      //!< 128-bit vector ALU/FP (FunctionalExecutor entry)
-    VExtract,    //!< vector lane -> integer register
-    ScalarFp,    //!< scalar FP unit (FunctionalExecutor entry)
-    ScalarAlu,   //!< everything else (FunctionalExecutor entry)
-    NumHandlers,
-};
-
 /** Why the fast path left a superblock. */
 enum class SbExit : std::uint8_t
 {
@@ -92,37 +68,12 @@ constexpr unsigned numSbExits = static_cast<unsigned>(SbExit::NumExits);
  */
 const char *sbExitName(SbExit exit);
 
-/**
- * Handler for one micro-opcode, mirroring the dispatch groups of
- * FunctionalExecutor::execUop (cpu/executor.cc) exactly: every opcode
- * lands in the same semantic bucket in both tiers. Public so the
- * static tier-equivalence prover (verify/tier_equiv.hh) can name the
- * mapping it independently re-derives from the executor's switch.
- */
-SbHandler sbHandlerFor(MicroOpcode op);
-
-// Per-macro protocol guards. The threaded-code loop (sim/fastpath.cc)
-// performs all three before every macro's uops, in this order: tick
-// fires any due watchdog, the epoch compare detects a translation
-// change, and the stability probe vetoes ops whose translation depends
-// on mutable per-instance state. The builder stamps the set it
-// compiled against into SbMacro::guards as build provenance; the
-// tier-equivalence prover requires the epoch+tick pair on every macro
-// with a memory or branch effect and the stability probe everywhere
-// (tier.unguarded-epoch-window). A future native emitter must emit
-// the same guard sequence to satisfy the prover.
-constexpr std::uint8_t sbGuardTick = 1u << 0;
-constexpr std::uint8_t sbGuardEpoch = 1u << 1;
-constexpr std::uint8_t sbGuardStability = 1u << 2;
-constexpr std::uint8_t sbGuardAll =
-    sbGuardTick | sbGuardEpoch | sbGuardStability;
-
 /** One pre-resolved uop of the threaded stream. */
 struct SbOp
 {
     Uop uop;                 //!< loop-expanded copy of the cached uop
     double energy = 0;       //!< EnergyModel::uopEnergy, precomputed
-    SbHandler handler = SbHandler::Nop;
+    UopHandler handler = UopHandler::Nop;  //!< uopHandler(), precomputed
     bool vpu = false;        //!< onVpu(), precomputed
     bool counted = false;    //!< !eliminated: slots/energy/probe apply
 };
@@ -134,15 +85,10 @@ struct SbMacro
     const UopFlow *flow = nullptr; //!< the flow-cache entry's flow
     unsigned ctx = 0;              //!< context the flow was cached under
     Addr fallThrough = invalidAddr;  //!< nextPc() when no branch taken
-    Addr fetchFirst = 0;           //!< first I-fetch cache block
-    Addr fetchLast = 0;            //!< last I-fetch cache block
     std::uint32_t uopBegin = 0;    //!< range in Superblock::uops
     std::uint32_t uopEnd = 0;
-    std::uint32_t dynCount = 0;    //!< dynamic uops incl. eliminated
-    std::uint64_t delivered = 0;   //!< dynamic uops excl. eliminated
-    std::uint32_t decoyDelta = 0;  //!< delivered decoy uops
-    std::uint32_t unrollTrips = 0; //!< micro-loop trips unrolled (0: none)
-    std::uint8_t guards = 0;       //!< sbGuard* bits compiled against
+    std::uint32_t dynCount = 0;    //!< flow->expandedCount()
+    std::uint64_t delivered = 0;   //!< deliveredUops(*flow)
 };
 
 /** A compiled straight-line region. */
@@ -166,8 +112,8 @@ struct SuperblockLimits
  * Compiles straight-line regions into superblocks. One builder wraps
  * the immutable build world — program, flow cache, translator, energy
  * model, caps — so a caller (the fast path at a hot head, the static
- * tier-equivalence prover sweeping every head offline) compiles any
- * number of regions against one consistent snapshot.
+ * tier prover sweeping every head offline) compiles any number of
+ * regions against one consistent snapshot.
  *
  * build(entry_pc) walks from @p entry_pc following fall-through edges
  * (conditional branches stay mid-block and exit dynamically when
@@ -220,6 +166,10 @@ class SuperblockCache
     std::size_t slots() const { return blocks_.size(); }
 
     Superblock *at(std::size_t slot) { return blocks_[slot].get(); }
+    const Superblock *at(std::size_t slot) const
+    {
+        return blocks_[slot].get();
+    }
 
     void
     install(std::size_t slot, std::unique_ptr<Superblock> block)

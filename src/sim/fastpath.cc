@@ -5,7 +5,7 @@
 #include "sim/simulation.hh"
 
 // Computed-goto (labels-as-values) dispatch where available; the
-// portable build falls back to a dense switch over SbHandler.
+// portable build falls back to a dense switch over UopHandler.
 #if defined(__GNUC__) || defined(__clang__)
 #define CSD_SB_COMPUTED_GOTO 1
 #else
@@ -129,7 +129,8 @@ FastPath::execBlock(Tr &tr, const Superblock &block, std::uint64_t budget,
     // carries no read-modify-write of member counters per macro. The
     // final member values are identical to per-macro updates — these
     // are all integer sums. Energy scalars are NOT localized: double
-    // addition is order-sensitive and must stay per-uop (see RETIRE).
+    // addition is order-sensitive and must stay per-uop (see
+    // CSD_SB_HANDLER).
     const bool detail = statsDetailEnabled();
     const bool sampling = sim_.sampleInterval_ != 0;
     Tick cycles = sim_.cycles_;
@@ -179,36 +180,34 @@ FastPath::execBlock(Tr &tr, const Superblock &block, std::uint64_t budget,
         tr.noteCachedTranslation(*m.op, *m.flow, m.ctx);
         sim_.curCtx_ = m.ctx;
 
-        // Instruction fetch: touch the I-cache once per block, with the
-        // same cross-macro dedup the interpreter keeps.
-        Cycles latency = 0;
-        for (Addr fetch = m.fetchFirst; fetch <= m.fetchLast;
-             fetch += cacheBlockSize) {
-            if (fetch != last_fetch) {
-                latency += mem.fetchInstr(fetch).latency;
-                last_fetch = fetch;
-            }
-        }
+        Cycles latency = cache_only::fetchMacro(mem, *m.op, last_fetch);
 
-        Addr next_pc = m.fallThrough;
-        bool took_branch = false;
+        FlowResult &res = scratch_;
+        res.nextPc = m.fallThrough;
+        res.tookBranch = false;
         if constexpr (Taint) {
-            taintScratch_.dynUops.clear();
-            taintScratch_.dynUops.reserve(m.dynCount);
+            res.dynUops.clear();
+            res.dynUops.reserve(m.dynCount);
         }
 
-        const SbOp *s = &block.uops[m.uopBegin];
-        const SbOp *const end = s + (m.uopEnd - m.uopBegin);
-        Addr eff = invalidAddr;
-        bool taken = false;
+        const SbOp *s = block.uops.data() + m.uopBegin;
+        const SbOp *const end = block.uops.data() + m.uopEnd;
+        DynUop dyn;
 
-// Per-uop retire: the accounting stepCacheOnly keeps for delivered
-// (non-eliminated) uops, plus the DynUop record DIFT replays. Energy
-// adds stay per-uop in expansion order — double addition is not
-// associative, and the equivalence tests compare energy bit-exactly.
-#define CSD_SB_RETIRE()                                                   \
-    do {                                                                  \
+// One label per UopHandler group, generated from CSD_UOP_HANDLERS: run
+// the interpreter's handler, then retire the uop as stepCacheOnly does
+// for delivered (non-eliminated) uops, plus the DynUop record DIFT
+// replays. The handler is a constant at each label, so the probe's
+// switch folds away. Energy adds stay per-uop in expansion order —
+// double addition is not associative, and the equivalence tests
+// compare energy bit-exactly.
+#define CSD_SB_HANDLER(name)                                              \
+    CSD_SB_LABEL(name):                                                   \
+        exec.exec##name(s->uop, dyn, res);                                \
         if (s->counted) {                                                 \
+            latency += cache_only::probeUop(mem, s->uop,                  \
+                                            UopHandler::name,             \
+                                            dyn.effAddr);                 \
             ++d_slots;                                                    \
             if (s->uop.decoy)                                             \
                 ++d_decoys;                                               \
@@ -218,176 +217,58 @@ FastPath::execBlock(Tr &tr, const Superblock &block, std::uint64_t budget,
                 sim_.coreDynamic_ += s->energy;                           \
         }                                                                 \
         if constexpr (Taint)                                              \
-            taintScratch_.dynUops.push_back(DynUop{&s->uop, eff, taken}); \
-    } while (0)
+            res.dynUops.push_back(dyn);                                   \
+        CSD_SB_NEXT();
 
 #if CSD_SB_COMPUTED_GOTO
         static const void *const dispatch[] = {
-            &&h_Load, &&h_Store, &&h_StoreImm, &&h_LoadVec, &&h_StoreVec,
-            &&h_Br, &&h_BrInd, &&h_CacheFlush, &&h_ReadCycles, &&h_Nop,
-            &&h_Vector, &&h_VExtract, &&h_ScalarFp, &&h_ScalarAlu,
+#define CSD_SB_TARGET(name) &&h_##name,
+            CSD_UOP_HANDLERS(CSD_SB_TARGET)
+#undef CSD_SB_TARGET
         };
         static_assert(sizeof(dispatch) / sizeof(dispatch[0]) ==
-                      static_cast<std::size_t>(SbHandler::NumHandlers));
+                      static_cast<std::size_t>(UopHandler::NumHandlers));
 
+#define CSD_SB_LABEL(name) h_##name
 #define CSD_SB_NEXT()                                                     \
     do {                                                                  \
-        CSD_SB_RETIRE();                                                  \
         if (++s == end)                                                   \
             goto uops_done;                                               \
-        eff = invalidAddr;                                                \
-        taken = false;                                                    \
+        dyn = DynUop{&s->uop};                                            \
         goto *dispatch[static_cast<unsigned>(s->handler)];                \
     } while (0)
-#define CSD_SB_HANDLER(name) h_##name
-#else
-#define CSD_SB_NEXT() break
-#define CSD_SB_HANDLER(name) case SbHandler::name
-#endif
 
-#if CSD_SB_COMPUTED_GOTO
         if (s == end)
             goto uops_done;
+        dyn = DynUop{&s->uop};
         goto *dispatch[static_cast<unsigned>(s->handler)];
-#else
-        for (; s != end; ++s, eff = invalidAddr, taken = false) {
-            switch (s->handler) {
-#endif
-// Handler bodies are shared between both dispatch skeletons. Each body
-// mirrors one case group of FunctionalExecutor::execUop, fused with
-// the timing probe stepCacheOnly takes for that uop category.
-CSD_SB_HANDLER(Load):
-{
-    const Uop &u = s->uop;
-    eff = exec.agen(u);
-    const std::uint64_t val = state.mem.read(eff, u.memSize);
-    if (u.dst.valid())
-        state.writeInt(u.dst, val);
-    if (s->counted) {
-        latency += (u.instrFetch ? mem.fetchInstr(eff) : mem.readData(eff))
-                       .latency;
-    }
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Store):
-{
-    const Uop &u = s->uop;
-    eff = exec.agen(u);
-    state.mem.write(eff, u.memSize, state.readInt(u.src3));
-    if (s->counted)
-        mem.writeData(eff);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(StoreImm):
-{
-    const Uop &u = s->uop;
-    eff = exec.agen(u);
-    state.mem.write(eff, u.memSize, static_cast<std::uint64_t>(u.imm));
-    if (s->counted)
-        mem.writeData(eff);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(LoadVec):
-{
-    const Uop &u = s->uop;
-    eff = exec.agen(u);
-    state.writeVecReg(u.dst, state.mem.readVec(eff));
-    if (s->counted) {
-        latency += (u.instrFetch ? mem.fetchInstr(eff) : mem.readData(eff))
-                       .latency;
-    }
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(StoreVec):
-{
-    const Uop &u = s->uop;
-    eff = exec.agen(u);
-    state.mem.writeVec(eff, state.readVecReg(u.src3));
-    if (s->counted)
-        mem.writeData(eff);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Br):
-{
-    const Uop &u = s->uop;
-    taken = evalCond(u.cond, state.flags);
-    if (taken) {
-        next_pc = u.target;
-        took_branch = true;
-    }
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(BrInd):
-{
-    taken = true;
-    next_pc = state.readInt(s->uop.src1);
-    took_branch = true;
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(CacheFlush):
-{
-    eff = exec.agen(s->uop);
-    if (s->counted) {
-        mem.flush(eff);
-        latency += 40;
-    }
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ReadCycles):
-{
-    state.writeInt(s->uop.dst, state.cycleHint);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Nop):
-{
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Vector):
-{
-    exec.execVector(s->uop);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(VExtract):
-{
-    const Uop &u = s->uop;
-    state.writeInt(u.dst, state.readVecReg(u.src1).lane(
-                              8, static_cast<unsigned>(u.imm) & 1));
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ScalarFp):
-{
-    exec.execScalarFp(s->uop);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ScalarAlu):
-{
-    exec.execScalarAlu(s->uop);
-}
-    CSD_SB_NEXT();
-#if CSD_SB_COMPUTED_GOTO
+        CSD_UOP_HANDLERS(CSD_SB_HANDLER)
 uops_done:;
 #else
-              default:
+#define CSD_SB_LABEL(name) case UopHandler::name
+#define CSD_SB_NEXT() break
+        for (; s != end; ++s) {
+            dyn = DynUop{&s->uop};
+            switch (s->handler) {
+                CSD_UOP_HANDLERS(CSD_SB_HANDLER)
+              case UopHandler::NumHandlers:
                 break;
             }
-            CSD_SB_RETIRE();
         }
 #endif
 
 #undef CSD_SB_HANDLER
+#undef CSD_SB_LABEL
 #undef CSD_SB_NEXT
-#undef CSD_SB_RETIRE
 
+        const Addr next_pc = res.nextPc;
         state.pc = next_pc;
-        if constexpr (Taint) {
-            taintScratch_.nextPc = next_pc;
-            taintScratch_.tookBranch = took_branch;
-            sim_.taint_->propagate(*m.flow, taintScratch_);
-        }
+        if constexpr (Taint)
+            sim_.taint_->propagate(*m.flow, res);
 
         // stepCacheOnly's pseudo-cycle advance + step()'s commit
-        // bookkeeping, with the deltas resolved at build time.
-        cycles += m.delivered + latency / 4;
+        // bookkeeping, with the counts resolved at build time.
+        cycles += cache_only::macroCycles(m.delivered, latency);
         ++d_instr;
         d_uops += m.dynCount;
         if (detail)

@@ -11,15 +11,21 @@
  * flow-cache slots, compiles straight-line runs of cached flows into
  * superblocks (decode/superblock.hh), and executes them as flat
  * threaded-code streams — computed-goto dispatch where the compiler
- * supports it, a dense switch otherwise.
+ * supports it, a dense switch otherwise. It defines no semantics of
+ * its own: each uop runs the FunctionalExecutor handler the
+ * interpreter runs, and each macro takes the interpreter's cache-only
+ * timing steps (cache_only::fetchMacro, probeUop, macroCycles).
  *
  * Exit protocol: a superblock is entered only while the translator
- * epoch it was built under is current, and execution leaves it on the
- * first taken branch, epoch bump (watchdog retrigger, MSR write),
- * stability loss, or budget exhaustion — falling back to the
- * interpreter mid-region with all architectural and accounting state
- * exactly as the interpreter would have left it. Tier on or off,
- * stats dumps and sidecars are bit-identical
+ * epoch it was built under is current. Before every macro it repeats
+ * the interpreter's per-step translator protocol (watchdog tick, epoch
+ * compare, stability probe), and it leaves only at a macro boundary:
+ * after a taken branch or the last macro (End/Branch, which chain into
+ * the next block), or before a macro on an epoch bump, stability loss
+ * or budget exhaustion (which hand control back to the interpreter).
+ * Either way a whole-macro prefix has retired with all architectural
+ * and accounting state exactly as the interpreter would have left it.
+ * Tier on or off, stats dumps and sidecars are bit-identical
  * (tests/sim/test_superblock.cc).
  *
  * All counters here are host-side plain integers outside the stat
@@ -39,53 +45,6 @@ namespace csd
 
 class ContextSensitiveDecoder;
 class Simulation;
-
-/**
- * Exit-protocol metadata: what the dispatch loop guarantees when it
- * leaves a superblock for a given reason. This is declarative, not
- * derived — it states the contract execBlock() implements and any
- * future execution tier (the native x86-64 emitter of ROADMAP item 1)
- * must implement too. The static tier-equivalence prover
- * (verify/tier_equiv.hh) consumes it through SuperblockView and
- * rejects any exit reason that can fire mid-block without flushing a
- * clean whole-macro prefix in interpreter order (tier.partial-flush).
- */
-struct SbExitMeta
-{
-    /** May fire with macros of the block still unexecuted. */
-    bool midBlock = false;
-    /**
-     * On exit, a whole-macro prefix of the block has retired with all
-     * architectural state and accounting deltas exactly as the
-     * interpreter would have left them (no partially applied macro).
-     */
-    bool flushesPrefix = false;
-    /** The interpreter must take over at state.pc (no block chaining). */
-    bool resumesInterpreter = false;
-};
-
-/** The contract table, exhaustive over SbExit (compile-break on new
- *  enumerators via the static_assert in sbExitName's definition). */
-constexpr SbExitMeta
-sbExitMeta(SbExit exit)
-{
-    switch (exit) {
-      case SbExit::End:
-        return {/*midBlock=*/false, /*flushesPrefix=*/true,
-                /*resumesInterpreter=*/false};
-      case SbExit::Branch:
-        return {/*midBlock=*/true, /*flushesPrefix=*/true,
-                /*resumesInterpreter=*/false};
-      case SbExit::EpochBump:
-      case SbExit::Unstable:
-      case SbExit::Budget:
-        return {/*midBlock=*/true, /*flushesPrefix=*/true,
-                /*resumesInterpreter=*/true};
-      case SbExit::NumExits:
-        break;
-    }
-    return {};
-}
 
 /** Superblock build + threaded-code execution engine (one per sim). */
 class FastPath
@@ -151,7 +110,9 @@ class FastPath
     SuperblockLimits limits_;
     std::uint32_t threshold_ = 16;
     Counters counters_;
-    FlowResult taintScratch_;  //!< reused DynUop buffer for DIFT replay
+    /** Branch outcome of the macro in flight, plus the DynUop buffer
+     *  DIFT replays (reused across macros). */
+    FlowResult scratch_;
 
     // Memoized translator-kind resolution (run() is hot; see run()).
     Translator *resolvedFor_ = nullptr;

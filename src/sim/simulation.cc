@@ -84,10 +84,6 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     fastpath_->reset(prog.code().size());
     if (const char *sb = std::getenv("CSD_SUPERBLOCK"))
         superblockEnabled_ = parseBoolSetting("CSD_SUPERBLOCK", sb);
-    if (const char *st = std::getenv("CSD_SUPERBLOCK_THRESHOLD")) {
-        fastpath_->setThreshold(static_cast<std::uint32_t>(
-            parsePositiveSetting("CSD_SUPERBLOCK_THRESHOLD", st)));
-    }
 
     stats_.addCounter("instructions", &instructions_,
                       "macro-ops committed");
@@ -585,17 +581,7 @@ void
 Simulation::stepCacheOnly(const MacroOp &op, const UopFlow &flow,
                           const FlowResult &result)
 {
-    // Instruction fetch: touch the I-cache once per block.
-    const Addr first = blockAlign(op.pc);
-    const Addr last = blockAlign(op.pc + op.length - 1);
-    Cycles latency = 0;
-    for (Addr block = first; block <= last; block += cacheBlockSize) {
-        if (block != lastFetchBlock_) {
-            latency += mem_->fetchInstr(block).latency;
-            lastFetchBlock_ = block;
-        }
-    }
-
+    Cycles latency = cache_only::fetchMacro(*mem_, op, lastFetchBlock_);
     for (const DynUop &dyn : result.dynUops) {
         const Uop &uop = *dyn.uop;
         if (uop.eliminated)
@@ -603,27 +589,15 @@ Simulation::stepCacheOnly(const MacroOp &op, const UopFlow &flow,
         ++slotsDelivered_;
         if (uop.decoy)
             ++decoyUopsExecuted_;
-        if (uop.isLoad()) {
-            latency += (uop.instrFetch ? mem_->fetchInstr(dyn.effAddr)
-                                       : mem_->readData(dyn.effAddr))
-                           .latency;
-        } else if (uop.isStore()) {
-            mem_->writeData(dyn.effAddr);
-        } else if (uop.op == MicroOpcode::CacheFlush) {
-            mem_->flush(dyn.effAddr);
-            latency += 40;
-        }
+        latency += cache_only::probeUop(*mem_, uop, uopHandler(uop),
+                                        dyn.effAddr);
         const double energy = energyModel_.uopEnergy(uop);
         if (onVpu(uop))
             vpuDynamic_ += energy;
         else
             coreDynamic_ += energy;
     }
-
-    // Pseudo-cycles: one per uop plus a fraction of memory latency
-    // (enough to drive the watchdog at a realistic rate).
-    cycles_ += deliveredUops(flow) + latency / 4;
-    (void)result;
+    cycles_ += cache_only::macroCycles(deliveredUops(flow), latency);
 }
 
 std::uint64_t

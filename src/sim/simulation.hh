@@ -52,6 +52,73 @@ enum class SimMode : std::uint8_t
     CacheOnly,  //!< functional + cache residency (fast)
 };
 
+/**
+ * The cache-only timing model, shared by the interpreter
+ * (Simulation::stepCacheOnly) and the superblock tier
+ * (FastPath::execBlock) so both advance the same caches and the same
+ * pseudo-clock.
+ */
+namespace cache_only
+{
+
+/**
+ * Instruction fetch: touch the I-cache once per cache block of @p op's
+ * encoding, skipping the block fetched last (@p last_fetch, updated).
+ * Returns the summed fetch latency.
+ */
+inline Cycles
+fetchMacro(MemHierarchy &mem, const MacroOp &op, Addr &last_fetch)
+{
+    Cycles latency = 0;
+    const Addr last = blockAlign(op.pc + op.length - 1);
+    for (Addr block = blockAlign(op.pc); block <= last;
+         block += cacheBlockSize) {
+        if (block != last_fetch) {
+            latency += mem.fetchInstr(block).latency;
+            last_fetch = block;
+        }
+    }
+    return latency;
+}
+
+/**
+ * Timing probe for one delivered (non-eliminated) uop of group
+ * @p handler at effective address @p eff. Returns the latency it adds.
+ */
+CSD_EXEC_INLINE Cycles
+probeUop(MemHierarchy &mem, const Uop &uop, UopHandler handler, Addr eff)
+{
+    switch (handler) {
+      case UopHandler::Load:
+      case UopHandler::LoadVec:
+        return (uop.instrFetch ? mem.fetchInstr(eff) : mem.readData(eff))
+            .latency;
+      case UopHandler::Store:
+      case UopHandler::StoreImm:
+      case UopHandler::StoreVec:
+        mem.writeData(eff);
+        return 0;
+      case UopHandler::CacheFlush:
+        mem.flush(eff);
+        return 40;
+      default:
+        return 0;
+    }
+}
+
+/**
+ * Pseudo-cycles one macro-op advances: one per delivered uop plus a
+ * fraction of memory latency (enough to drive the watchdog at a
+ * realistic rate).
+ */
+constexpr Tick
+macroCycles(std::uint64_t delivered, Cycles latency)
+{
+    return delivered + latency / 4;
+}
+
+} // namespace cache_only
+
 /** Simulator configuration. */
 struct SimParams
 {
@@ -137,10 +204,8 @@ class Simulation
     void setSuperblockEnabled(bool on);
     bool superblockEnabled() const { return superblockEnabled_; }
 
-    /**
-     * Region-entry count at which a hot head is compiled (>= 1; default
-     * 16). Also set by CSD_SUPERBLOCK_THRESHOLD in the environment.
-     */
+    /** Region-entry count at which a hot head is compiled (>= 1;
+     *  default 16). */
     void setSuperblockThreshold(std::uint32_t threshold);
 
     /** The superblock tier's host-side counters and block cache. */

@@ -13,6 +13,8 @@
 #ifndef CSD_UOP_FLOW_HH
 #define CSD_UOP_FLOW_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -55,17 +57,77 @@ struct UopFlow
     bool cacheable = true;
 
     /**
-     * Number of uops the flow delivers dynamically, expanding the
-     * micro-loop (one body replay counts each body uop once per trip).
+     * The flow's dynamic expansion as three static ranges of uops, each
+     * replayed @c times: prologue once, the micro-loop body tripCount
+     * times (zero trips skip it), epilogue once. This is the one
+     * definition of micro-loop expansion; the executor, the superblock
+     * builder and every expanded count walk it.
      */
+    struct Segment
+    {
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        std::uint64_t times = 1;
+    };
+
+    std::array<Segment, 3>
+    segments() const
+    {
+        if (!loop)
+            return {Segment{0, uops.size(), 1}, Segment{}, Segment{}};
+        return {Segment{0, loop->bodyStart, 1},
+                Segment{loop->bodyStart, loop->bodyEnd, loop->tripCount},
+                Segment{loop->bodyEnd, uops.size(), 1}};
+    }
+
+    // The helpers below take a loop-free fast path: they run once per
+    // simulated macro-op, where the segment walk's overhead shows.
+
+    /** Call @p fn on every uop in dynamic (expanded) order. */
+    template <class Fn>
+    void
+    forEachExpanded(Fn &&fn) const
+    {
+        if (!loop) {
+            for (const Uop &uop : uops)
+                fn(uop);
+            return;
+        }
+        for (const Segment &seg : segments())
+            for (std::uint64_t trip = 0; trip < seg.times; ++trip)
+                for (std::size_t i = seg.begin; i < seg.end; ++i)
+                    fn(uops[i]);
+    }
+
+    /** Number of dynamic (expanded) uops satisfying @p pred. */
+    template <class Pred>
+    std::uint64_t
+    countExpanded(Pred &&pred) const
+    {
+        std::uint64_t count = 0;
+        if (!loop) {
+            for (const Uop &uop : uops)
+                count += pred(uop) ? 1 : 0;
+            return count;
+        }
+        for (const Segment &seg : segments()) {
+            std::uint64_t matching = 0;
+            for (std::size_t i = seg.begin; i < seg.end; ++i)
+                matching += pred(uops[i]) ? 1 : 0;
+            count += matching * seg.times;
+        }
+        return count;
+    }
+
+    /** Number of uops the flow delivers dynamically. */
     std::uint64_t
     expandedCount() const
     {
-        std::uint64_t count = uops.size();
-        if (loop && loop->tripCount > 0) {
-            const std::uint64_t body = loop->bodyEnd - loop->bodyStart;
-            count += body * (loop->tripCount - 1);
-        }
+        if (!loop)
+            return uops.size();
+        std::uint64_t count = 0;
+        for (const Segment &seg : segments())
+            count += (seg.end - seg.begin) * seg.times;
         return count;
     }
 

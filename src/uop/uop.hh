@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "common/types.hh"
@@ -190,6 +191,56 @@ enum class FuClass : std::uint8_t
     None,       //!< nop/halt
 };
 
+/**
+ * Semantic handler groups: which FunctionalExecutor member executes a
+ * micro-op (member exec<Name>). The interpreter's execUop and the
+ * superblock tier's threaded-code labels (sim/fastpath.cc) are both
+ * generated from these lists, so every uop has one definition of its
+ * semantics.
+ */
+#define CSD_UOP_HANDLERS(X)                                               \
+    X(Load) X(Store) X(StoreImm) X(LoadVec) X(StoreVec)                   \
+    X(Br) X(BrInd) X(CacheFlush) X(ReadCycles) X(Nop) X(Halt)             \
+    X(Vector) X(VExtract) X(ScalarFp) X(ScalarAlu)
+
+enum class UopHandler : std::uint8_t
+{
+#define CSD_UOP_HANDLER_ENUM(name) name,
+    CSD_UOP_HANDLERS(CSD_UOP_HANDLER_ENUM)
+#undef CSD_UOP_HANDLER_ENUM
+    NumHandlers,
+};
+
+/**
+ * The opcode -> handler-group table, X(opcode, handler) for every
+ * MicroOpcode in enum order (static_assert'ed below). The groups do
+ * not follow FuClass: VInsert is an IntAlu-class uop that executes in
+ * execVector.
+ */
+#define CSD_UOP_OPCODE_HANDLERS(X)                                        \
+    X(Add, ScalarAlu) X(Adc, ScalarAlu) X(Sub, ScalarAlu)                 \
+    X(Sbb, ScalarAlu) X(And, ScalarAlu) X(Or, ScalarAlu)                  \
+    X(Xor, ScalarAlu) X(Shl, ScalarAlu) X(Shr, ScalarAlu)                 \
+    X(Sar, ScalarAlu) X(Rol, ScalarAlu) X(Ror, ScalarAlu)                 \
+    X(Mul, ScalarAlu) X(Not, ScalarAlu) X(Neg, ScalarAlu)                 \
+    X(Mov, ScalarAlu) X(LoadImm, ScalarAlu) X(Lea, ScalarAlu)             \
+    X(Cmp, ScalarAlu) X(Test, ScalarAlu)                                  \
+    X(Load, Load) X(Store, Store) X(StoreImm, StoreImm)                   \
+    X(LoadVec, LoadVec) X(StoreVec, StoreVec)                             \
+    X(Br, Br) X(BrInd, BrInd)                                             \
+    X(VAdd, Vector) X(VSub, Vector) X(VAnd, Vector) X(VOr, Vector)        \
+    X(VXor, Vector) X(VMulLo16, Vector) X(VShlI, Vector)                  \
+    X(VShrI, Vector) X(VMov, Vector)                                      \
+    X(FAddPs, Vector) X(FMulPs, Vector) X(FSubPs, Vector)                 \
+    X(FAddPd, Vector) X(FMulPd, Vector) X(FSubPd, Vector)                 \
+    X(FDivPs, Vector) X(FSqrtPs, Vector)                                  \
+    X(VExtract, VExtract) X(VInsert, Vector)                              \
+    X(FAddS, ScalarFp) X(FSubS, ScalarFp) X(FMulS, ScalarFp)              \
+    X(FDivS, ScalarFp) X(FSqrtS, ScalarFp)                                \
+    X(FAddSd, ScalarFp) X(FSubSd, ScalarFp) X(FMulSd, ScalarFp)           \
+    X(CacheFlush, CacheFlush) X(ReadCycles, ReadCycles)                   \
+    X(Nop, Nop) X(Halt, Halt)
+
 /** One micro-op. */
 struct Uop
 {
@@ -339,6 +390,61 @@ inline constexpr auto fuClassTable =
     makeOpcodeTable<FuClass, fuClassOf>();
 inline constexpr auto fuLatencyTable =
     makeOpcodeTable<Cycles, fuLatencyOf>();
+inline constexpr std::array<UopHandler, numMicroOpcodes> handlerTable = {
+#define CSD_UOP_HANDLER_OF(opcode, handler) UopHandler::handler,
+    CSD_UOP_OPCODE_HANDLERS(CSD_UOP_HANDLER_OF)
+#undef CSD_UOP_HANDLER_OF
+};
+
+/** The opcode list is complete and in enum order. */
+constexpr bool
+opcodeHandlersComplete()
+{
+    constexpr MicroOpcode listed[] = {
+#define CSD_UOP_LISTED(opcode, handler) MicroOpcode::opcode,
+        CSD_UOP_OPCODE_HANDLERS(CSD_UOP_LISTED)
+#undef CSD_UOP_LISTED
+    };
+    if (std::size(listed) != numMicroOpcodes)
+        return false;
+    for (std::size_t i = 0; i < numMicroOpcodes; ++i)
+        if (listed[i] != static_cast<MicroOpcode>(i))
+            return false;
+    return true;
+}
+static_assert(opcodeHandlersComplete(),
+              "CSD_UOP_OPCODE_HANDLERS must list every MicroOpcode once, "
+              "in enum order");
+
+/**
+ * The handler and port tables must agree on which uops touch memory:
+ * a memory handler issues to a load/store port, and nothing else does.
+ * Otherwise the cache-only probe would drop or invent memory latency
+ * relative to the detailed back end. Likewise only Nop and Halt bind
+ * no functional unit.
+ */
+constexpr bool
+handlersMatchPorts()
+{
+    for (std::size_t i = 0; i < numMicroOpcodes; ++i) {
+        const UopHandler h = handlerTable[i];
+        const FuClass fu = fuClassTable[i];
+        const bool mem_handler =
+            h == UopHandler::Load || h == UopHandler::Store ||
+            h == UopHandler::StoreImm || h == UopHandler::LoadVec ||
+            h == UopHandler::StoreVec || h == UopHandler::CacheFlush;
+        if (mem_handler !=
+            (fu == FuClass::MemLoad || fu == FuClass::MemStore))
+            return false;
+        if ((h == UopHandler::Nop || h == UopHandler::Halt) !=
+            (fu == FuClass::None))
+            return false;
+    }
+    return true;
+}
+static_assert(handlersMatchPorts(),
+              "uop handler table and fuClass table disagree on the "
+              "memory/port binding of a micro-opcode");
 
 } // namespace detail
 
@@ -354,6 +460,13 @@ inline Cycles
 fuLatency(const Uop &uop)
 {
     return detail::fuLatencyTable[static_cast<std::size_t>(uop.op)];
+}
+
+/** The FunctionalExecutor member that executes the uop. */
+inline UopHandler
+uopHandler(const Uop &uop)
+{
+    return detail::handlerTable[static_cast<std::size_t>(uop.op)];
 }
 
 /** True iff the uop executes on the vector processing unit. */

@@ -173,38 +173,7 @@ measurementJson(const ChannelMeasurement &m)
     return os.str();
 }
 
-/**
- * The SuperblockView --tiers runs under: the real one, or one with a
- * deliberate defect spliced in so CI can prove each tier.* check
- * actually fires (pattern of --inject-dynamic-defect). The injection
- * lives in the view, never in a real block, so the build under test
- * stays healthy.
- */
-SuperblockView
-tierView(const std::string &defect)
-{
-    SuperblockView view = SuperblockView::real();
-    if (defect == "handler") {
-        // Route every scalar load to the Nop handler: wrong semantics
-        // AND a dropped memory timing probe.
-        view.handlerOf = [](const SbOp &op) {
-            return op.uop.op == MicroOpcode::Load ? SbHandler::Nop
-                                                  : op.handler;
-        };
-    } else if (defect == "energy") {
-        // Skew every precomputed scalar by a representable amount.
-        view.energyOf = [](const SbOp &op) { return op.energy + 0.125; };
-    } else if (defect == "guard") {
-        // Drop the epoch compare from every macro boundary.
-        view.guardsOf = [](const SbMacro &macro) {
-            return static_cast<std::uint8_t>(macro.guards &
-                                             ~sbGuardEpoch);
-        };
-    }
-    return view;
-}
-
-/** JSON for one tier-equivalence sweep (appended to "tiers": [...]). */
+/** JSON for one tier sweep (appended to "tiers": [...]). */
 std::string
 tierAuditJson(const std::string &target, const char *config,
               const TierAudit &audit)
@@ -222,7 +191,7 @@ tierAuditJson(const std::string &target, const char *config,
  * The McuBlobView --mcu runs under: the real one, or one with a
  * deliberate defect spliced in so CI can prove each mcu.* check
  * actually fires. Injection lives in the view, never in a blob or an
- * engine, so the build under test stays healthy (tierView pattern).
+ * engine, so the build under test stays healthy.
  */
 McuBlobView
 mcuView(const std::string &defect)
@@ -299,14 +268,10 @@ usage(const char *argv0, std::FILE *out)
                  "  --inject-dynamic-defect\n"
                  "               inflate the dynamic measurement so the\n"
                  "               cross-check must fail (CI self-test)\n"
-                 "  --tiers      prove compiled superblock streams\n"
-                 "               equivalent to the translator semantics\n"
-                 "               (native, CSD, and devectorizing\n"
-                 "               configurations per target)\n"
-                 "  --inject-tier-defect KIND\n"
-                 "               splice a defect (handler|energy|guard)\n"
-                 "               into the prover's SuperblockView so the\n"
-                 "               matching tier.* check must fail\n"
+                 "  --tiers      prove the exit protocol of compiled\n"
+                 "               superblocks (native, CSD, and\n"
+                 "               devectorizing configurations per\n"
+                 "               target)\n"
                  "  --mcu        prove the shipped microcode-update\n"
                  "               defense blobs admissible: integrity,\n"
                  "               architectural containment, patched-\n"
@@ -343,7 +308,6 @@ main(int argc, char **argv)
     bool tiers = false;
     bool mcu = false;
     bool injectDefect = false;
-    std::string tierDefect;
     std::string mcuDefect;
     std::string mcuBlobPath;
     std::vector<std::string> wanted;
@@ -358,15 +322,6 @@ main(int argc, char **argv)
             channels = true;
         } else if (arg == "--tiers") {
             tiers = true;
-        } else if (arg == "--inject-tier-defect" && i + 1 < argc) {
-            tierDefect = argv[++i];
-            if (tierDefect != "handler" && tierDefect != "energy" &&
-                tierDefect != "guard") {
-                std::fprintf(stderr, "csd-lint: unknown tier defect "
-                             "'%s' (handler|energy|guard)\n",
-                             tierDefect.c_str());
-                return 2;
-            }
         } else if (arg == "--mcu") {
             mcu = true;
         } else if (arg == "--mcu-blob" && i + 1 < argc) {
@@ -512,12 +467,11 @@ main(int argc, char **argv)
             }
 
             if (tiers) {
-                const SuperblockView view = tierView(tierDefect);
                 const auto sweep = [&](const char *config,
                                        Translator &translator) {
                     VerifyReport tierReport;
                     const TierAudit audit = auditProgramTiers(
-                        program, translator, tierReport, view);
+                        program, translator, tierReport);
                     std::printf("%-14s tiers[%s]: %zu block(s), %zu "
                                 "macro(s), %zu uop(s) proved over %zu "
                                 "head(s)\n",

@@ -18,8 +18,7 @@
  *     allowArchWrites, and that the engine's GPR→decoder-temp
  *     remapping is injective and total. The remap rules are re-derived
  *     independently here (first-use order onto t0..t5 / vt0..vt3,
- *     flag-write stripping) the way tier_equiv.cc re-derives execUop's
- *     dispatch groups, and the engine's output must be an ordered
+ *     flag-write stripping), and the engine's output must be an ordered
  *     subsequence (the optimizer only deletes) of that re-derivation;
  *
  *  3. translation-consistency re-audit — the patched flow each target
@@ -35,9 +34,9 @@
  *     static energy delta is published from the constexpr tables.
  *
  * All engine state is read through McuBlobView (a struct of
- * std::functions with a real() factory, like MicroTableView and
- * SuperblockView) so seeded-defect tests prove every check fires
- * without corrupting a real blob or engine. The prover doubles as the
+ * std::functions with a real() factory, like MicroTableView) so
+ * seeded-defect tests prove every check fires without corrupting a
+ * real blob or engine. The prover doubles as the
  * runtime admission hook: mcuAdmissionProver() adapts it to
  * McuEngine::setAdmissionProver so offline lint and applyUpdate are
  * the same code path.

@@ -5,133 +5,13 @@
 #include <string>
 
 #include "decode/fusion.hh"
+#include "power/energy.hh"
 
 namespace csd
 {
 
-SuperblockView
-SuperblockView::real()
-{
-    SuperblockView view;
-    view.handlerOf = [](const SbOp &op) { return op.handler; };
-    view.energyOf = [](const SbOp &op) { return op.energy; };
-    view.vpuOf = [](const SbOp &op) { return op.vpu; };
-    view.countedOf = [](const SbOp &op) { return op.counted; };
-    view.guardsOf = [](const SbMacro &macro) { return macro.guards; };
-    view.exitMetaOf = [](SbExit exit) { return sbExitMeta(exit); };
-    return view;
-}
-
 namespace
 {
-
-/**
- * The reference handler for one micro-opcode, re-derived here from
- * FunctionalExecutor::execUop's dispatch switch (cpu/executor.hh) —
- * deliberately NOT calling decode/superblock.cc's sbHandlerFor, which
- * is the mapping under test. The two tables are maintained against the
- * same executor switch; any divergence is exactly the drift this check
- * exists to catch. Note the groups do not follow FuClass: VInsert is
- * an IntAlu-class uop that still dispatches to execVector.
- */
-SbHandler
-referenceHandler(MicroOpcode op)
-{
-    switch (op) {
-      case MicroOpcode::Load:        return SbHandler::Load;
-      case MicroOpcode::Store:       return SbHandler::Store;
-      case MicroOpcode::StoreImm:    return SbHandler::StoreImm;
-      case MicroOpcode::LoadVec:     return SbHandler::LoadVec;
-      case MicroOpcode::StoreVec:    return SbHandler::StoreVec;
-      case MicroOpcode::Br:          return SbHandler::Br;
-      case MicroOpcode::BrInd:       return SbHandler::BrInd;
-      case MicroOpcode::CacheFlush:  return SbHandler::CacheFlush;
-      case MicroOpcode::ReadCycles:  return SbHandler::ReadCycles;
-      case MicroOpcode::Nop:         return SbHandler::Nop;
-      case MicroOpcode::VAdd: case MicroOpcode::VSub:
-      case MicroOpcode::VAnd: case MicroOpcode::VOr:
-      case MicroOpcode::VXor: case MicroOpcode::VMulLo16:
-      case MicroOpcode::VShlI: case MicroOpcode::VShrI:
-      case MicroOpcode::VMov:
-      case MicroOpcode::FAddPs: case MicroOpcode::FMulPs:
-      case MicroOpcode::FSubPs: case MicroOpcode::FAddPd:
-      case MicroOpcode::FMulPd: case MicroOpcode::FSubPd:
-      case MicroOpcode::FDivPs: case MicroOpcode::FSqrtPs:
-      case MicroOpcode::VInsert:
-        return SbHandler::Vector;
-      case MicroOpcode::VExtract:    return SbHandler::VExtract;
-      case MicroOpcode::FAddS: case MicroOpcode::FSubS:
-      case MicroOpcode::FMulS: case MicroOpcode::FDivS:
-      case MicroOpcode::FSqrtS:
-      case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
-      case MicroOpcode::FMulSd:
-        return SbHandler::ScalarFp;
-      default:
-        return SbHandler::ScalarAlu;
-    }
-}
-
-const char *
-sbHandlerName(SbHandler handler)
-{
-    switch (handler) {
-      case SbHandler::Load:        return "Load";
-      case SbHandler::Store:       return "Store";
-      case SbHandler::StoreImm:    return "StoreImm";
-      case SbHandler::LoadVec:     return "LoadVec";
-      case SbHandler::StoreVec:    return "StoreVec";
-      case SbHandler::Br:          return "Br";
-      case SbHandler::BrInd:       return "BrInd";
-      case SbHandler::CacheFlush:  return "CacheFlush";
-      case SbHandler::ReadCycles:  return "ReadCycles";
-      case SbHandler::Nop:         return "Nop";
-      case SbHandler::Vector:      return "Vector";
-      case SbHandler::VExtract:    return "VExtract";
-      case SbHandler::ScalarFp:    return "ScalarFp";
-      case SbHandler::ScalarAlu:   return "ScalarAlu";
-      case SbHandler::NumHandlers: break;
-    }
-    return "?";
-}
-
-/** Handlers that take a memory timing probe in execBlock. */
-bool
-memoryHandler(SbHandler handler)
-{
-    switch (handler) {
-      case SbHandler::Load:
-      case SbHandler::Store:
-      case SbHandler::StoreImm:
-      case SbHandler::LoadVec:
-      case SbHandler::StoreVec:
-      case SbHandler::CacheFlush:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Does retiring this uop touch memory or control flow? These are the
- *  effects that must sit behind an epoch guard: a stale translation
- *  replayed past a trigger change would probe the wrong sets or leave
- *  the region on the wrong path. */
-bool
-hasGuardedEffect(const Uop &uop)
-{
-    switch (uop.op) {
-      case MicroOpcode::Load:
-      case MicroOpcode::LoadVec:
-      case MicroOpcode::Store:
-      case MicroOpcode::StoreImm:
-      case MicroOpcode::StoreVec:
-      case MicroOpcode::CacheFlush:
-      case MicroOpcode::Br:
-      case MicroOpcode::BrInd:
-        return true;
-      default:
-        return false;
-    }
-}
 
 /** Unconditional control transfer = region terminator (must be last). */
 bool
@@ -157,37 +37,12 @@ addFinding(VerifyReport &report, const Program &prog, const char *check,
                message);
 }
 
-/**
- * Apply @p fn to the flow's dynamic expansion in the exact order
- * FunctionalExecutor::executeInto (and the builder) produce it:
- * prologue, body x tripCount, epilogue.
- */
-template <class Fn>
-void
-expandFlow(const UopFlow &flow, Fn &&fn)
-{
-    if (flow.loop) {
-        const MicroLoop &loop = *flow.loop;
-        for (std::size_t i = 0; i < loop.bodyStart; ++i)
-            fn(flow.uops[i]);
-        for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
-            for (std::size_t i = loop.bodyStart; i < loop.bodyEnd; ++i)
-                fn(flow.uops[i]);
-        for (std::size_t i = loop.bodyEnd; i < flow.uops.size(); ++i)
-            fn(flow.uops[i]);
-    } else {
-        for (const Uop &uop : flow.uops)
-            fn(uop);
-    }
-}
-
 } // namespace
 
 void
 checkSuperblock(const Superblock &block, const Program &prog,
                 const FlowCache &fc, const Translator &translator,
-                const EnergyModel &energy, VerifyReport &report,
-                const SuperblockView &view, const TierEquivOptions &options)
+                VerifyReport &report)
 {
     const std::string tag = "block " + hexPc(block.entryPc);
 
@@ -198,41 +53,10 @@ checkSuperblock(const Superblock &block, const Program &prog,
         return;
     }
 
-    // --- (c) exit-protocol safety --------------------------------------
-    //
-    // The block's CFG is a linear chain of macro nodes: macro i's
-    // fall-through edge goes to macro i+1, and every macro additionally
-    // has exit edges out of the block (Budget/EpochBump/Unstable before
-    // its guards retire it, Branch after it if it can take a branch,
-    // End after the last). Proving the exit protocol over this CFG
-    // means proving (1) the declared contract for every exit edge
-    // flushes a clean whole-macro prefix, (2) the uop ranges partition
-    // the stream so "whole-macro prefix" is well defined at every node
-    // boundary, (3) chained fall-through edges follow interpreter
-    // order, and (4) every path from entry to a memory/branch effect
-    // crosses the effect macro's epoch guard.
-
-    for (unsigned e = 0; e < numSbExits; ++e) {
-        const auto exit = static_cast<SbExit>(e);
-        const SbExitMeta meta = view.exitMetaOf(exit);
-        if (!meta.flushesPrefix) {
-            addFinding(report, prog, "tier.partial-flush", block.entryPc,
-                       tag + ": exit reason '" +
-                           std::string(sbExitName(exit)) +
-                           "' is not declared to flush a clean "
-                           "whole-macro prefix in interpreter order");
-        }
-        if ((exit == SbExit::EpochBump || exit == SbExit::Unstable) &&
-            !meta.resumesInterpreter) {
-            addFinding(report, prog, "tier.partial-flush", block.entryPc,
-                       tag + ": exit reason '" +
-                           std::string(sbExitName(exit)) +
-                           "' must hand control back to the interpreter "
-                           "(chaining would re-enter under a stale "
-                           "translation state)");
-        }
-    }
-
+    // The block is a linear chain of macros: every exit leaves at a
+    // macro boundary, so "a clean whole-macro prefix has retired"
+    // holds iff the uop ranges partition the stream in order and each
+    // boundary resumes where the interpreter would.
     if (block.macros.front().op->pc != block.entryPc) {
         addFinding(report, prog, "tier.partial-flush", block.entryPc,
                    tag + ": first macro is at " +
@@ -240,6 +64,7 @@ checkSuperblock(const Superblock &block, const Program &prog,
                        ", not the block entry");
     }
 
+    const MacroOp *const code_base = prog.code().data();
     std::uint32_t expect_begin = 0;
     for (std::size_t mi = 0; mi < block.macros.size(); ++mi) {
         const SbMacro &m = block.macros[mi];
@@ -288,9 +113,20 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "macro would diverge from the interpreter");
         }
 
-        // --- (b) accounting equivalence: replay the flow the
-        // interpreter would fetch from the flow cache for this macro.
-        const MacroOp *const code_base = prog.code().data();
+        if (range_ok) {
+            for (std::uint32_t k = m.uopBegin; k < m.uopEnd; ++k) {
+                if (block.uops[k].uop.op != MicroOpcode::Halt)
+                    continue;
+                addFinding(report, prog, "tier.partial-flush", mpc,
+                           tag + ": uop " + std::to_string(k) +
+                               ": Halt admitted to a stream — the "
+                               "interpreter owns program termination");
+            }
+        }
+
+        // Flow-cache provenance: the interpreter resuming after an
+        // exit fetches this macro's flow from its own cache, so the
+        // block must have been compiled from exactly that entry.
         const auto slot = static_cast<std::size_t>(m.op - code_base);
         const FlowCache::Entry *entry =
             slot < fc.slots()
@@ -303,189 +139,11 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "'s flow is not cached under the block's "
                            "epoch/context — the interpreter could not "
                            "reproduce this macro");
-            continue;
-        }
-        if (m.flow != &entry->flow || m.ctx != entry->ctx) {
+        } else if (m.flow != &entry->flow || m.ctx != entry->ctx) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
                        tag + ": macro " + std::to_string(mi) +
                            " records stale flow/context provenance for "
                            "its flow-cache entry");
-        }
-        const UopFlow &flow = entry->flow;
-
-        std::uint64_t dyn_exp = 0;
-        std::uint64_t deliv_exp = 0;
-        std::uint64_t decoy_exp = 0;
-        expandFlow(flow, [&](const Uop &uop) {
-            ++dyn_exp;
-            if (!uop.eliminated) {
-                ++deliv_exp;
-                if (uop.decoy)
-                    ++decoy_exp;
-            }
-        });
-
-        if (m.dynCount != flow.expandedCount() || dyn_exp != m.dynCount) {
-            addFinding(report, prog, "tier.accounting-skew", mpc,
-                       tag + ": dynamic uop count " +
-                           std::to_string(m.dynCount) +
-                           " != flow expansion " +
-                           std::to_string(flow.expandedCount()));
-        }
-        if (m.delivered != deliveredUops(flow) || deliv_exp != m.delivered) {
-            addFinding(report, prog, "tier.accounting-skew", mpc,
-                       tag + ": delivered-slot delta " +
-                           std::to_string(m.delivered) +
-                           " != interpreter's deliveredUops " +
-                           std::to_string(deliveredUops(flow)));
-        }
-        if (m.decoyDelta != decoy_exp) {
-            addFinding(report, prog, "tier.accounting-skew", mpc,
-                       tag + ": decoy delta " +
-                           std::to_string(m.decoyDelta) + " != " +
-                           std::to_string(decoy_exp) +
-                           " delivered decoy uop(s) in the flow");
-        }
-        const std::uint32_t trips_exp =
-            flow.loop ? flow.loop->tripCount : 0;
-        if (m.unrollTrips != trips_exp) {
-            addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                       tag + ": recorded unroll trips " +
-                           std::to_string(m.unrollTrips) + " != " +
-                           std::to_string(trips_exp) +
-                           " micro-loop trip(s) in the flow");
-        }
-        if (m.fetchFirst != blockAlign(mpc) ||
-            m.fetchLast != blockAlign(mpc + m.op->length - 1)) {
-            addFinding(report, prog, "tier.accounting-skew", mpc,
-                       tag + ": I-fetch block range [" +
-                           hexPc(m.fetchFirst) + ", " +
-                           hexPc(m.fetchLast) +
-                           "] does not cover the macro's encoded bytes");
-        }
-
-        if (!range_ok)
-            continue;  // per-uop indexing below needs a sane range
-
-        // Unrolled stream order must be the interpreter's expansion
-        // order: prologue, body x tripCount, epilogue.
-        const std::uint32_t span = m.uopEnd - m.uopBegin;
-        if (span != dyn_exp) {
-            addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                       tag + ": stream carries " + std::to_string(span) +
-                           " uop(s) where the flow expands to " +
-                           std::to_string(dyn_exp));
-        } else {
-            std::uint32_t k = m.uopBegin;
-            bool ordered = true;
-            expandFlow(flow, [&](const Uop &uop) {
-                const Uop &got = block.uops[k++].uop;
-                if (got.op != uop.op || got.uopIdx != uop.uopIdx ||
-                    got.decoy != uop.decoy ||
-                    got.eliminated != uop.eliminated)
-                    ordered = false;
-            });
-            if (!ordered) {
-                addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                           tag + ": unrolled uop stream is not the "
-                                 "interpreter's expansion order "
-                                 "(prologue, body x trips, epilogue)");
-            }
-        }
-
-        // --- (a) handler soundness over the macro's uop range.
-        for (std::uint32_t k = m.uopBegin; k < m.uopEnd; ++k) {
-            const SbOp &sbop = block.uops[k];
-            const Uop &uop = sbop.uop;
-            const std::string where =
-                tag + ": uop " + std::to_string(k) + " (" +
-                toString(uop) + ")";
-
-            if (uop.op == MicroOpcode::Halt) {
-                addFinding(report, prog, "tier.partial-flush", mpc,
-                           where + ": Halt admitted to a stream — the "
-                                   "interpreter owns program "
-                                   "termination");
-                continue;
-            }
-
-            const SbHandler expect = referenceHandler(uop.op);
-            const SbHandler got = view.handlerOf(sbop);
-            if (got != expect) {
-                addFinding(report, prog, "tier.handler-mismatch", mpc,
-                           where + ": resolves to handler " +
-                               sbHandlerName(got) +
-                               " where execUop dispatches to " +
-                               sbHandlerName(expect));
-            }
-            if (view.vpuOf(sbop) != onVpu(uop)) {
-                addFinding(report, prog, "tier.handler-mismatch", mpc,
-                           where + ": VPU residency bit disagrees with "
-                                   "the fuClass table — the energy "
-                                   "would accrue to the wrong "
-                                   "accumulator");
-            }
-            if (view.countedOf(sbop) != !uop.eliminated) {
-                addFinding(report, prog, "tier.accounting-skew", mpc,
-                           where + ": counted bit disagrees with the "
-                                   "decode-time eliminated mark");
-            }
-
-            const FuClass fu = options.tables.fuClassOf(uop.op);
-            const bool mem_class =
-                fu == FuClass::MemLoad || fu == FuClass::MemStore;
-            if (mem_class != memoryHandler(got)) {
-                addFinding(report, prog, "tier.handler-mismatch", mpc,
-                           where + ": fuClass/latency table binding "
-                                   "disagrees with the handler's timing "
-                                   "probe (memory latency would be "
-                                   "dropped or invented)");
-            }
-            if (!uop.eliminated && fu != FuClass::None &&
-                options.tables.portCountOf(fu) == 0) {
-                addFinding(report, prog, "tier.handler-mismatch", mpc,
-                           where + ": no issue port bound for its "
-                                   "fuClass");
-            }
-
-            // Exact (bitwise) double compare on purpose: the stream
-            // stores a copy of the model's scalar, and execBlock adds
-            // it per-uop in expansion order precisely because double
-            // addition is order-sensitive. Any representational drift
-            // here breaks the tier's bit-identity guarantee.
-            if (view.energyOf(sbop) != energy.uopEnergy(uop)) {
-                addFinding(report, prog, "tier.energy-drift", mpc,
-                           where + ": precomputed energy differs from "
-                                   "EnergyModel::uopEnergy for its "
-                                   "fuClass");
-            }
-        }
-
-        // --- (c4) epoch-guard coverage. Every path from entry to this
-        // macro is the linear prefix before it, so the effect is
-        // guarded iff this macro's own boundary performs the tick +
-        // epoch compare (the tick fires any due watchdog; comparing
-        // without ticking would miss the very bump being guarded
-        // against). Stability must be probed at every macro: a flow
-        // can go unstable (decoy refill, taint) with no epoch bump.
-        const std::uint8_t guards = view.guardsOf(m);
-        if (!(guards & sbGuardStability)) {
-            addFinding(report, prog, "tier.unguarded-epoch-window", mpc,
-                       tag + ": macro " + std::to_string(mi) +
-                           " retires without a translation-stability "
-                           "probe");
-        }
-        bool effect = false;
-        for (std::uint32_t k = m.uopBegin; k < m.uopEnd && !effect; ++k)
-            effect = hasGuardedEffect(block.uops[k].uop);
-        constexpr std::uint8_t epochGuard = sbGuardTick | sbGuardEpoch;
-        if (effect && (guards & epochGuard) != epochGuard) {
-            addFinding(report, prog, "tier.unguarded-epoch-window", mpc,
-                       tag + ": path from block entry reaches a "
-                             "memory/branch effect in macro " +
-                           std::to_string(mi) +
-                           " without crossing an epoch guard "
-                           "(tick + epoch compare) at its boundary");
         }
     }
 
@@ -553,19 +211,19 @@ regionHeads(const Program &prog)
 
 TierAudit
 auditProgramTiers(const Program &prog, Translator &translator,
-                  VerifyReport &report, const SuperblockView &view,
-                  const TierEquivOptions &options)
+                  VerifyReport &report)
 {
+    constexpr std::size_t maxHeads = 4096;
+
     TierAudit audit;
     FlowCache fc;
-    populateFlowCache(prog, translator, fc, options.frontend);
+    populateFlowCache(prog, translator, fc);
 
     const EnergyModel energy;
-    const SuperblockBuilder builder(prog, fc, translator, energy,
-                                    options.limits);
+    const SuperblockBuilder builder(prog, fc, translator, energy);
     std::vector<Addr> heads = regionHeads(prog);
-    if (heads.size() > options.maxHeads)
-        heads.resize(options.maxHeads);
+    if (heads.size() > maxHeads)
+        heads.resize(maxHeads);
 
     for (const Addr head : heads) {
         ++audit.heads;
@@ -575,8 +233,7 @@ auditProgramTiers(const Program &prog, Translator &translator,
         ++audit.blocks;
         audit.macros += block->macros.size();
         audit.uops += block->uops.size();
-        checkSuperblock(*block, prog, fc, translator, energy, report,
-                        view, options);
+        checkSuperblock(*block, prog, fc, translator, report);
     }
     return audit;
 }

@@ -1,44 +1,34 @@
 /**
  * @file
- * Static tier-equivalence prover: superblock streams vs translator
- * semantics.
+ * Static tier prover: the superblock exit protocol, checked per block.
  *
- * The superblock tier (decode/superblock.hh, sim/fastpath.hh) executes
- * pre-resolved threaded-code streams instead of interpreting flows,
- * and the ROADMAP's next tier is a native x86-64 emitter behind the
- * same SbOp stream. Both are only sound if every compiled block is
- * *provably* equivalent to what the interpreter would have done — the
- * dynamic bit-identity tests sample that property; this pass proves it
- * per block, offline, with no simulation:
+ * The superblock tier (decode/superblock.hh, sim/fastpath.hh) shares
+ * its uop semantics with the interpreter by construction (one handler
+ * table in uop/uop.hh, one expansion in UopFlow::forEachExpanded, one
+ * cache-only timing model), so there is no second definition left to
+ * compare. What the tier still owns is the exit protocol: a block may
+ * be left before any macro, and the interpreter must then resume from
+ * a state it could have produced itself. This pass proves, per
+ * compiled block and with no simulation:
  *
- *  (a) handler soundness — every SbOp's resolved handler, VPU/port
- *      binding, and precomputed energy agree with an independent
- *      re-derivation from FunctionalExecutor::execUop's dispatch
- *      groups and the constexpr fuClass/fuLatency/port/energy tables
- *      (tier.handler-mismatch, tier.energy-drift);
- *  (b) accounting equivalence — the per-macro deltas the block
- *      resolves at build time (delivered slots, decoy uops, dynamic
- *      uop count, micro-loop unrolls), replayed symbolically over the
- *      stream, equal what the interpreter would accumulate
- *      flow-by-flow from the flow cache (tier.accounting-skew,
- *      tier.unroll-mismatch);
- *  (c) exit-protocol safety — a small CFG over the stream proving
- *      every mid-block exit flushes a clean whole-macro prefix in
- *      interpreter order, and every path from entry to a memory or
- *      branch effect crosses an epoch guard (tier.partial-flush,
- *      tier.unguarded-epoch-window).
+ *  - tier.partial-flush — the macros' uop ranges partition the stream,
+ *    so every exit point is a clean whole-macro prefix; consecutive
+ *    macros follow interpreter (fall-through) order; the recorded
+ *    resume PCs are the ops' nextPc; unconditional transfers end the
+ *    block; and no Halt is admitted (the interpreter owns termination);
+ *  - tier.accounting-skew — every macro's flow and context are the
+ *    flow-cache entry the interpreter would fetch under the block's
+ *    epoch, so an exit hands back a state the interpreter's own cache
+ *    would reproduce.
  *
- * Checks read the block through SuperblockView — the same
- * fault-injection indirection MicroTableView gives the table audit —
- * so seeded-defect tests can pin exact (block, op, check-id) findings
- * without corrupting a real build.
+ * Dynamic bit-identity (tests/sim/test_superblock.cc and the
+ * generated-program differential test) covers the rest.
  */
 
 #ifndef CSD_VERIFY_TIER_EQUIV_HH
 #define CSD_VERIFY_TIER_EQUIV_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -47,39 +37,12 @@
 #include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "isa/program.hh"
-#include "power/energy.hh"
-#include "sim/fastpath.hh"
 #include "verify/finding.hh"
-#include "verify/translation_check.hh"
 
 namespace csd
 {
 
-/** Indirection over a compiled superblock for fault-injection tests. */
-struct SuperblockView
-{
-    std::function<SbHandler(const SbOp &)> handlerOf;
-    std::function<double(const SbOp &)> energyOf;
-    std::function<bool(const SbOp &)> vpuOf;
-    std::function<bool(const SbOp &)> countedOf;
-    std::function<std::uint8_t(const SbMacro &)> guardsOf;
-    std::function<SbExitMeta(SbExit)> exitMetaOf;
-
-    /** The shipping view: the fields the builder resolved and the
-     *  sbExitMeta contract table. */
-    static SuperblockView real();
-};
-
-/** Knobs for the offline audit driver. */
-struct TierEquivOptions
-{
-    SuperblockLimits limits;            //!< build caps, as the tier uses
-    FrontEndParams frontend;            //!< decode-time pass config
-    std::size_t maxHeads = 4096;        //!< cap on region heads walked
-    MicroTableView tables = MicroTableView::real();
-};
-
-/** Summary of one offline tier-equivalence sweep. */
+/** Summary of one offline tier sweep. */
 struct TierAudit
 {
     std::size_t heads = 0;   //!< region heads attempted
@@ -89,16 +52,13 @@ struct TierAudit
 };
 
 /**
- * Prove one compiled @p block against the reference semantics: the
- * flows cached in @p fc under the block's epoch, @p translator's
- * stable-context protocol, @p energy's per-uop scalars, and the
- * exit-protocol contract. Appends tier.* findings to @p report.
+ * Prove one compiled @p block's exit protocol against @p prog and the
+ * flows cached in @p fc under the block's epoch and @p translator's
+ * stable contexts. Appends tier.* findings to @p report.
  */
 void checkSuperblock(const Superblock &block, const Program &prog,
                      const FlowCache &fc, const Translator &translator,
-                     const EnergyModel &energy, VerifyReport &report,
-                     const SuperblockView &view = SuperblockView::real(),
-                     const TierEquivOptions &options = {});
+                     VerifyReport &report);
 
 /**
  * Fill @p fc offline with every stable, cacheable translation of
@@ -125,16 +85,14 @@ std::vector<Addr> regionHeads(const Program &prog);
 
 /**
  * The offline driver: populate a flow cache for @p prog under
- * @p translator's current trigger state, compile a superblock at every
- * statically known region head with SuperblockBuilder, and run
- * checkSuperblock over each. This is the sweep csd-lint --tiers runs
- * per preset and per translator configuration.
+ * @p translator's current trigger state (default front-end passes),
+ * compile a superblock at every statically known region head (up to
+ * 4096) with SuperblockBuilder's default caps, and run checkSuperblock
+ * over each. This is the sweep csd-lint --tiers runs per preset and
+ * per translator configuration.
  */
 TierAudit auditProgramTiers(const Program &prog, Translator &translator,
-                            VerifyReport &report,
-                            const SuperblockView &view =
-                                SuperblockView::real(),
-                            const TierEquivOptions &options = {});
+                            VerifyReport &report);
 
 } // namespace csd
 

@@ -11,10 +11,9 @@
  *    legacy decode / flow cache / CSD delivery paths plus the
  *    micro-table audit (trans.*, tables.* checks).
  *
- * A third pass family lives in verify/tier_equiv.hh: the static
- * tier-equivalence prover (tier.* checks), which proves compiled
- * superblock streams equivalent to the reference translator semantics
- * (csd-lint --tiers).
+ * A third pass family lives in verify/tier_equiv.hh: the static tier
+ * prover (tier.* checks), which proves the exit protocol of compiled
+ * superblocks (csd-lint --tiers).
  *
  * The standalone csd-lint driver (csd_lint.cc) runs all of them over
  * every shipped workload; ProgramBuilder::build() runs the cheap

@@ -399,5 +399,24 @@ TEST(Executor, HaltStopsMidFlow)
     EXPECT_TRUE(state.halted);
 }
 
+TEST(Executor, ExpandedCountMatchesExecutedUops)
+{
+    // expandedCount() sizes buffers and feeds the profiler's uop count
+    // and the superblock size cap: it must be exactly what executing
+    // the flow produces, including a micro-loop that never iterates.
+    for (const std::uint32_t trips : {0u, 1u, 10u}) {
+        SCOPED_TRACE(trips);
+        ProgramBuilder b;
+        b.repStos(0x8000, trips);
+        const MacroOp op = b.build().code()[0];
+        const UopFlow flow = translateNative(op);
+        ASSERT_TRUE(flow.loop.has_value());
+        ArchState state;
+        FunctionalExecutor exec(state);
+        EXPECT_EQ(flow.expandedCount(),
+                  exec.execute(op, flow).dynUops.size());
+    }
+}
+
 } // namespace
 } // namespace csd

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "csd/csd.hh"
 #include "sim/fastpath.hh"
 #include "sim/simulation.hh"
+#include "tests/support/random_program.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
 
@@ -21,9 +24,9 @@ namespace
  * simulated machine must be bit-identical — cycles, uop counts,
  * energy scalars, the whole stat tree. These tests mirror the
  * flow-cache equivalence suite in cache-only mode (the only mode the
- * tier engages in) across the paper's crypto victims and the
- * adversarial trigger-toggling program, then pin the tier's exit
- * protocol with targeted unit scenarios.
+ * tier engages in) across the paper's crypto victims, the adversarial
+ * trigger-toggling program and a corpus of generated programs, then
+ * pin the tier's exit protocol with targeted unit scenarios.
  */
 
 struct CacheOnlyRecord
@@ -323,26 +326,6 @@ TEST(Superblock, ExitNamesPinTheSidecarKeys)
     }
 }
 
-TEST(Superblock, ExitMetaContractInvariants)
-{
-    // The contract the tier-equivalence prover enforces per block
-    // (verify/tier_equiv.hh): every exit flushes a clean whole-macro
-    // prefix; only End is not a mid-block exit; the exits taken under
-    // changed translation state (epoch bump, instability) hand control
-    // back to the interpreter instead of chaining into another block.
-    for (unsigned i = 0; i < numSbExits; ++i) {
-        const SbExit exit = static_cast<SbExit>(i);
-        const SbExitMeta meta = sbExitMeta(exit);
-        EXPECT_TRUE(meta.flushesPrefix) << sbExitName(exit);
-        EXPECT_EQ(meta.midBlock, exit != SbExit::End) << sbExitName(exit);
-    }
-    EXPECT_TRUE(sbExitMeta(SbExit::EpochBump).resumesInterpreter);
-    EXPECT_TRUE(sbExitMeta(SbExit::Unstable).resumesInterpreter);
-    EXPECT_TRUE(sbExitMeta(SbExit::Budget).resumesInterpreter);
-    EXPECT_FALSE(sbExitMeta(SbExit::Branch).resumesInterpreter);
-    EXPECT_FALSE(sbExitMeta(SbExit::End).resumesInterpreter);
-}
-
 TEST(Superblock, DisablingDropsCompiledBlocks)
 {
     std::array<std::uint8_t, 16> key{};
@@ -367,6 +350,215 @@ TEST(Superblock, DisablingDropsCompiledBlocks)
     sim.restart();
     sim.runToHalt();
     EXPECT_EQ(sim.fastPath().counters().entries, entries_before);
+}
+
+/**
+ * Run the AES victim under a CSD with no defense armed: three runs
+ * (the tier compiles blocks), then a change to what translations
+ * produce — the devectorization switch, or a control-MSR write arming
+ * timing noise — then three more runs that must drop the stale blocks
+ * at their next entry.
+ */
+CacheOnlyRecord
+runAesAcrossTranslationChange(bool tier_on, bool use_devect)
+{
+    std::array<std::uint8_t, 16> key{};
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = static_cast<std::uint8_t>(0x11 * i);
+    const AesWorkload workload = AesWorkload::build(key);
+
+    SimParams params;
+    params.mode = SimMode::CacheOnly;
+    Simulation sim(workload.program, params);
+    sim.setSuperblockEnabled(tier_on);
+    sim.setSuperblockThreshold(1);
+
+    MsrFile msrs;
+    ContextSensitiveDecoder csd(msrs, nullptr);
+    sim.setCsd(&csd);
+
+    for (int run = 0; run < 6; ++run) {
+        if (run == 3 && use_devect) {
+            csd.setDevectorize(true);
+        } else if (run == 3) {
+            csd.seedNoise(0x5eed);
+            msrs.setControl(ctrlTimingNoise);
+        }
+        sim.restart();
+        sim.runToHalt();
+    }
+    return finishRecord(sim, &csd);
+}
+
+TEST(Superblock, TranslationChangeInvalidatesBlocks)
+{
+    for (const bool use_devect : {true, false}) {
+        SCOPED_TRACE(use_devect ? "setDevectorize" : "control MSR");
+        const CacheOnlyRecord on =
+            runAesAcrossTranslationChange(true, use_devect);
+        const CacheOnlyRecord off =
+            runAesAcrossTranslationChange(false, use_devect);
+        expectIdentical(on, off);
+        EXPECT_GT(on.fp.built, 0u);
+        EXPECT_GT(on.fp.invalidated, 0u);
+    }
+}
+
+/** Everything architectural: registers, flags, PC, and data memory. */
+std::vector<std::uint64_t>
+archSnapshot(const ArchState &state, const Program &prog)
+{
+    std::vector<std::uint64_t> snap = {
+        state.pc, state.halted, state.flags.zf, state.flags.sf,
+        state.flags.cf, state.flags.of};
+    for (unsigned i = 0; i < numIntUopRegs; ++i)
+        snap.push_back(state.readInt(
+            RegId(RegClass::Int, static_cast<std::uint8_t>(i))));
+    for (unsigned i = 0; i < numVecUopRegs; ++i) {
+        const Vec128 &vec = state.readVecReg(
+            RegId(RegClass::Vec, static_cast<std::uint8_t>(i)));
+        snap.push_back(vec.lane(8, 0));
+        snap.push_back(vec.lane(8, 1));
+    }
+    for (const auto &[addr, bytes] : prog.data())
+        for (Addr a = addr; a < addr + bytes.size(); ++a)
+            snap.push_back(state.mem.read(a, 1));
+    return snap;
+}
+
+TEST(Superblock, BudgetExitAtEveryChunkSizeBitIdentical)
+{
+    // run(n) stops the tier mid-block (SbExit::Budget) wherever the
+    // chunk boundary falls. After every chunk the tier-on simulation
+    // must be exactly where the interpreter is: same stats dump, same
+    // architectural state. Chunk sizes cover every offset into the
+    // compiled AES blocks up to the longest one.
+    std::array<std::uint8_t, 16> key{};
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = static_cast<std::uint8_t>(0x70 + i);
+    const AesWorkload workload = AesWorkload::build(key);
+    SimParams params;
+    params.mode = SimMode::CacheOnly;
+
+    const auto warm = [&](Simulation &sim, bool tier_on) {
+        sim.setSuperblockEnabled(tier_on);
+        sim.setSuperblockThreshold(1);
+        for (int run = 0; run < 2; ++run) {
+            sim.restart();
+            sim.runToHalt();
+        }
+        sim.restart();
+    };
+
+    std::size_t longest = 0;
+    {
+        Simulation probe(workload.program, params);
+        warm(probe, true);
+        ASSERT_GT(probe.fastPath().counters().built, 0u);
+        const SuperblockCache &cache = probe.fastPath().cache();
+        for (std::size_t slot = 0; slot < cache.slots(); ++slot)
+            if (const Superblock *block = cache.at(slot))
+                longest = std::max(longest, block->macros.size());
+    }
+
+    std::uint64_t budget_exits = 0;
+    for (std::uint64_t chunk = 1; chunk <= longest + 1; ++chunk) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        Simulation on(workload.program, params);
+        Simulation off(workload.program, params);
+        warm(on, true);
+        warm(off, false);
+        while (!on.halted()) {
+            ASSERT_EQ(on.run(chunk), off.run(chunk));
+            std::ostringstream on_os;
+            std::ostringstream off_os;
+            on.dumpStatsJson(on_os);
+            off.dumpStatsJson(off_os);
+            ASSERT_EQ(scrubPhases(on_os.str()), scrubPhases(off_os.str()));
+            ASSERT_EQ(archSnapshot(on.state(), workload.program),
+                      archSnapshot(off.state(), workload.program));
+        }
+        ASSERT_TRUE(off.halted());
+        budget_exits += on.fastPath().counters()
+                            .exits[static_cast<unsigned>(SbExit::Budget)];
+    }
+    EXPECT_GT(budget_exits, 0u);
+}
+
+/**
+ * Generated-program differential test, after the generated-test-program
+ * method of "Systematic Assessment of Cache Timing Vulnerabilities on
+ * RISC-V": every program runs cache-only with the tier on and off, and
+ * the stats dumps must be byte-identical — under the native translator
+ * and under a stealth-mode CSD whose watchdog period is drawn from the
+ * seed, so blocks meet epoch bumps and stability loss at arbitrary
+ * points.
+ */
+CacheOnlyRecord
+runGenerated(const testsupport::RandomProgram &gen, bool stealth,
+             Tick watchdog, bool tier_on)
+{
+    SimParams params;
+    params.mode = SimMode::CacheOnly;
+    Simulation sim(gen.program, params);
+    sim.setSuperblockEnabled(tier_on);
+    sim.setSuperblockThreshold(1);
+
+    MsrFile msrs;
+    TaintTracker taint;
+    ContextSensitiveDecoder csd(msrs, &taint);
+    if (stealth) {
+        // Every loaded value is tainted, so stores of loaded registers
+        // and branches on them take decoys; the decoy range lies just
+        // past the data buffer.
+        taint.addTaintSource(gen.data);
+        msrs.setWatchdogPeriod(watchdog);
+        msrs.setDecoyDRange(0, AddrRange(gen.data.end, gen.data.end + 512));
+        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        sim.setTaintTracker(&taint);
+        sim.setCsd(&csd);
+    }
+    for (int run = 0; run < 4; ++run) {
+        sim.restart();
+        sim.runToHalt();
+    }
+    return finishRecord(sim, stealth ? &csd : nullptr);
+}
+
+TEST(SuperblockDifferential, GeneratedProgramsBitIdentical)
+{
+    constexpr unsigned numPrograms = 120;
+    Random rng(0x243f6a8885a308d3ull);
+    unsigned built[2] = {0, 0};  // [native, stealth]
+    unsigned left_mid_block = 0; // stealth: epoch-bump/unstable exits
+    for (unsigned pi = 0; pi < numPrograms; ++pi) {
+        const testsupport::RandomProgram gen =
+            testsupport::randomProgram(rng);
+        const Tick watchdog = 16 + rng.below(400);
+        for (const bool stealth : {false, true}) {
+            SCOPED_TRACE("program " + std::to_string(pi) +
+                         (stealth ? " stealth" : " native"));
+            const CacheOnlyRecord on =
+                runGenerated(gen, stealth, watchdog, true);
+            const CacheOnlyRecord off =
+                runGenerated(gen, stealth, watchdog, false);
+            expectIdentical(on, off);
+            if (on.fp.built > 0)
+                ++built[stealth ? 1 : 0];
+            const auto exits = [&](SbExit exit) {
+                return on.fp.exits[static_cast<unsigned>(exit)];
+            };
+            if (exits(SbExit::EpochBump) + exits(SbExit::Unstable) > 0)
+                ++left_mid_block;
+        }
+        if (HasFailure())
+            return;
+    }
+    // The corpus must genuinely exercise the tier; a generator drift
+    // that stops producing compilable regions would pass vacuously.
+    EXPECT_GT(built[0], numPrograms * 3 / 4);
+    EXPECT_GT(built[1], numPrograms * 3 / 4);
+    EXPECT_GT(left_mid_block, numPrograms / 10);
 }
 
 } // namespace

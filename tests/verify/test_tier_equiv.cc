@@ -1,27 +1,16 @@
 /**
  * @file
- * Tests for the static tier-equivalence prover (verify/tier_equiv.hh).
- *
- * Two obligations beyond ordinary coverage:
- *
- *  - every seeded defect, injected through SuperblockView (never by
- *    corrupting a real build), must fail with its exact tier.* check
- *    id, pinned to the exact (block, op) it was planted at;
- *  - the randomized cross-check: over a deterministic seeded corpus of
- *    generated programs, the prover's symbolic per-macro accounting
- *    must equal — exactly — what FunctionalExecutor::executeInto
- *    measures when it actually runs each compiled macro's flow.
+ * Tests for the static tier prover (verify/tier_equiv.hh): clean
+ * proofs on real builds, and every remaining check family fired on a
+ * directly corrupted copy of a real block, pinned to its tier.* id.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <string>
 
-#include "cpu/arch_state.hh"
-#include "cpu/executor.hh"
 #include "decode/flow_cache.hh"
 #include "decode/superblock.hh"
 #include "decode/translator.hh"
@@ -37,10 +26,10 @@ namespace
 {
 
 /**
- * A straight-line fixture exercising every accounting feature the
- * prover replays: plain ALU, memory effects, stack ops the SP tracker
- * eliminates, and a microsequenced rep-stos whose flow carries a
- * micro-loop the builder unrolls.
+ * A straight-line fixture covering what the builder resolves: plain
+ * ALU, memory effects, stack ops the SP tracker eliminates, and a
+ * microsequenced rep-stos whose flow carries a micro-loop the builder
+ * unrolls.
  */
 Program
 fixtureProgram()
@@ -79,39 +68,11 @@ struct TierFixture
     }
 
     VerifyReport
-    check(const Superblock &b,
-          const SuperblockView &view = SuperblockView::real()) const
+    check(const Superblock &b) const
     {
         VerifyReport report;
-        checkSuperblock(b, prog, fc, translator, energy, report, view);
+        checkSuperblock(b, prog, fc, translator, report);
         return report;
-    }
-
-    VerifyReport
-    check(const SuperblockView &view = SuperblockView::real()) const
-    {
-        return check(*block, view);
-    }
-
-    /** First stream index resolved to @p handler. */
-    std::size_t
-    findUop(SbHandler handler) const
-    {
-        for (std::size_t k = 0; k < block->uops.size(); ++k)
-            if (block->uops[k].handler == handler)
-                return k;
-        return block->uops.size();
-    }
-
-    /** Index of the macro owning stream position @p k. */
-    std::size_t
-    macroOf(std::size_t k) const
-    {
-        for (std::size_t mi = 0; mi < block->macros.size(); ++mi)
-            if (k >= block->macros[mi].uopBegin &&
-                k < block->macros[mi].uopEnd)
-                return mi;
-        return block->macros.size();
     }
 };
 
@@ -135,22 +96,31 @@ TEST(TierEquiv, FixtureBlockProvesClean)
 {
     const TierFixture f;
     ASSERT_NE(f.block, nullptr);
-    const VerifyReport report = f.check();
+    const VerifyReport report = f.check(*f.block);
     EXPECT_TRUE(report.empty()) << report.text();
 
-    // The fixture must actually exercise the features the defect tests
-    // below plant faults into; a degenerate block would prove nothing.
-    EXPECT_LT(f.findUop(SbHandler::Load), f.block->uops.size());
-    EXPECT_LT(f.findUop(SbHandler::Store), f.block->uops.size());
+    // The fixture must actually exercise the features the builder
+    // resolves; a degenerate block would prove nothing.
+    const auto has_handler = [&](UopHandler handler) {
+        return std::any_of(
+            f.block->uops.begin(), f.block->uops.end(),
+            [&](const SbOp &op) { return op.handler == handler; });
+    };
+    EXPECT_TRUE(has_handler(UopHandler::Load));
+    EXPECT_TRUE(has_handler(UopHandler::Store));
     const bool has_unroll = std::any_of(
         f.block->macros.begin(), f.block->macros.end(),
-        [](const SbMacro &m) { return m.unrollTrips > 0; });
+        [](const SbMacro &m) { return m.flow->loop.has_value(); });
     EXPECT_TRUE(has_unroll) << "rep-stos micro-loop was not unrolled";
     const bool has_eliminated = std::any_of(
         f.block->uops.begin(), f.block->uops.end(),
         [](const SbOp &op) { return !op.counted; });
     EXPECT_TRUE(has_eliminated)
         << "SP tracking eliminated no stack uops";
+    for (const SbMacro &m : f.block->macros) {
+        EXPECT_EQ(m.uopEnd - m.uopBegin, m.flow->expandedCount());
+        EXPECT_EQ(m.dynCount, m.flow->expandedCount());
+    }
 }
 
 TEST(TierEquiv, VictimProgramsAuditClean)
@@ -173,170 +143,6 @@ TEST(TierEquiv, VictimProgramsAuditClean)
 }
 
 // ---------------------------------------------------------------------
-// Seeded defects through SuperblockView, pinned to (block, op, check)
-// ---------------------------------------------------------------------
-
-TEST(TierEquiv, HandlerDefectPinsHandlerMismatch)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    const std::size_t k = f.findUop(SbHandler::Load);
-    ASSERT_LT(k, f.block->uops.size());
-    const SbOp *target = &f.block->uops[k];
-
-    SuperblockView view = SuperblockView::real();
-    view.handlerOf = [target](const SbOp &op) {
-        return &op == target ? SbHandler::Nop : op.handler;
-    };
-
-    // A load rebound to Nop breaks both the dispatch check and the
-    // memory-probe binding check — every finding is the same id at the
-    // same macro, naming the exact stream position.
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.handler-mismatch", target->uop.macroPc);
-    for (const Finding &finding : report.findings())
-        EXPECT_NE(finding.message.find("uop " + std::to_string(k)),
-                  std::string::npos)
-            << finding.message;
-}
-
-TEST(TierEquiv, VpuDefectPinsHandlerMismatch)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    const std::size_t k = f.findUop(SbHandler::ScalarAlu);
-    ASSERT_LT(k, f.block->uops.size());
-    const SbOp *target = &f.block->uops[k];
-
-    SuperblockView view = SuperblockView::real();
-    view.vpuOf = [target](const SbOp &op) {
-        return &op == target ? !op.vpu : op.vpu;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.handler-mismatch", target->uop.macroPc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-}
-
-TEST(TierEquiv, EnergyDefectPinsEnergyDrift)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    const std::size_t k = f.findUop(SbHandler::Store);
-    ASSERT_LT(k, f.block->uops.size());
-    const SbOp *target = &f.block->uops[k];
-
-    SuperblockView view = SuperblockView::real();
-    view.energyOf = [target](const SbOp &op) {
-        return &op == target ? op.energy + 0.125 : op.energy;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.energy-drift", target->uop.macroPc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-    EXPECT_NE(report.findings().front().message.find(
-                  "uop " + std::to_string(k)),
-              std::string::npos);
-}
-
-TEST(TierEquiv, CountedDefectPinsAccountingSkew)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    const auto it = std::find_if(
-        f.block->uops.begin(), f.block->uops.end(),
-        [](const SbOp &op) { return !op.counted; });
-    ASSERT_NE(it, f.block->uops.end());
-    const SbOp *target = &*it;
-
-    SuperblockView view = SuperblockView::real();
-    view.countedOf = [target](const SbOp &op) {
-        return &op == target ? !op.counted : op.counted;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.accounting-skew", target->uop.macroPc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-}
-
-TEST(TierEquiv, DroppedEpochGuardPinsUnguardedWindow)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    // Plant on a macro with a memory effect: the store.
-    const std::size_t mi = f.macroOf(f.findUop(SbHandler::Store));
-    ASSERT_LT(mi, f.block->macros.size());
-    const SbMacro *target = &f.block->macros[mi];
-
-    SuperblockView view = SuperblockView::real();
-    view.guardsOf = [target](const SbMacro &macro) {
-        const std::uint8_t guards = macro.guards;
-        return &macro == target
-                   ? static_cast<std::uint8_t>(guards & ~sbGuardEpoch)
-                   : guards;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.unguarded-epoch-window", target->op->pc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-}
-
-TEST(TierEquiv, DroppedStabilityProbePinsUnguardedWindow)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    // Stability must be probed even on effect-free macros.
-    const std::size_t mi = f.macroOf(f.findUop(SbHandler::ScalarAlu));
-    ASSERT_LT(mi, f.block->macros.size());
-    const SbMacro *target = &f.block->macros[mi];
-
-    SuperblockView view = SuperblockView::real();
-    view.guardsOf = [target](const SbMacro &macro) {
-        const std::uint8_t guards = macro.guards;
-        return &macro == target
-                   ? static_cast<std::uint8_t>(guards & ~sbGuardStability)
-                   : guards;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.unguarded-epoch-window", target->op->pc);
-}
-
-TEST(TierEquiv, NonFlushingExitPinsPartialFlush)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::Branch)
-            meta.flushesPrefix = false;
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-    EXPECT_NE(report.findings().front().message.find("branch"),
-              std::string::npos);
-}
-
-TEST(TierEquiv, ChainingEpochBumpExitPinsPartialFlush)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::EpochBump)
-            meta.resumesInterpreter = false;
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-}
-
-// ---------------------------------------------------------------------
 // Structural corruption of a (copied) block
 // ---------------------------------------------------------------------
 
@@ -352,61 +158,24 @@ TEST(TierEquiv, TornUopRangeIsPartialFlush)
     EXPECT_TRUE(report.hasCheck("tier.partial-flush")) << report.text();
 }
 
-TEST(TierEquiv, SkewedDeliveredDeltaIsAccountingSkew)
+TEST(TierEquiv, StaleFlowProvenanceIsAccountingSkew)
 {
     const TierFixture f;
     ASSERT_NE(f.block, nullptr);
-    Superblock skewed = *f.block;
-    skewed.macros.front().delivered += 1;
+    ASSERT_GE(f.block->macros.size(), 2u);
+    Superblock stale = *f.block;
+    // Macro 1 claims macro 0's flow-cache entry: the interpreter
+    // resuming at macro 1 would fetch a different flow.
+    stale.macros[1].flow = stale.macros[0].flow;
 
-    const VerifyReport report = f.check(skewed);
-    ASSERT_TRUE(report.hasCheck("tier.accounting-skew")) << report.text();
+    VerifyReport report = f.check(stale);
+    expectAllPinned(report, "tier.accounting-skew", stale.macros[1].op->pc);
     EXPECT_EQ(report.findings().size(), 1u) << report.text();
-    EXPECT_EQ(report.findings().front().pc,
-              skewed.macros.front().op->pc);
-}
 
-TEST(TierEquiv, SkewedUnrollTripsIsUnrollMismatch)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock skewed = *f.block;
-    const auto it = std::find_if(
-        skewed.macros.begin(), skewed.macros.end(),
-        [](const SbMacro &m) { return m.unrollTrips > 0; });
-    ASSERT_NE(it, skewed.macros.end());
-    it->unrollTrips += 1;
-
-    const VerifyReport report = f.check(skewed);
-    ASSERT_TRUE(report.hasCheck("tier.unroll-mismatch")) << report.text();
-    EXPECT_EQ(report.findings().front().pc, it->op->pc);
-}
-
-TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock shuffled = *f.block;
-    // Swap two adjacent stream uops within one macro whose identities
-    // differ — the count stays right, only the order is wrong.
-    bool swapped = false;
-    for (const SbMacro &m : shuffled.macros) {
-        for (std::uint32_t k = m.uopBegin; k + 1 < m.uopEnd; ++k) {
-            const Uop &a = shuffled.uops[k].uop;
-            const Uop &b = shuffled.uops[k + 1].uop;
-            if (a.op != b.op || a.uopIdx != b.uopIdx) {
-                std::swap(shuffled.uops[k], shuffled.uops[k + 1]);
-                swapped = true;
-                break;
-            }
-        }
-        if (swapped)
-            break;
-    }
-    ASSERT_TRUE(swapped);
-
-    const VerifyReport report = f.check(shuffled);
-    EXPECT_TRUE(report.hasCheck("tier.unroll-mismatch")) << report.text();
+    stale = *f.block;
+    stale.macros[1].ctx += 1;
+    report = f.check(stale);
+    expectAllPinned(report, "tier.accounting-skew", stale.macros[1].op->pc);
 }
 
 TEST(TierEquiv, DivergedFallThroughIsPartialFlush)
@@ -478,175 +247,6 @@ TEST(TierEquiv, PopulateFlowCacheMatchesSimulatorProtocol)
                     translator.stableContext(f.prog.code()[slot])))
             ++cached;
     EXPECT_GT(cached, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Randomized cross-check: symbolic accounting == measured accounting
-// ---------------------------------------------------------------------
-
-/** Deterministic xorshift64* — no wall-clock, no std::random_device. */
-struct Rng
-{
-    std::uint64_t state;
-
-    explicit Rng(std::uint64_t seed) : state(seed) {}
-
-    std::uint64_t
-    next()
-    {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        return state * 0x2545f4914f6cdd1dull;
-    }
-
-    std::uint32_t
-    pick(std::uint32_t bound)
-    {
-        return static_cast<std::uint32_t>(next() % bound);
-    }
-};
-
-Gpr
-randomGpr(Rng &rng)
-{
-    // Rsp excluded: push/pop must keep a sane stack pointer.
-    static const Gpr regs[] = {Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx,
-                               Gpr::Rsi, Gpr::Rdi, Gpr::R8,  Gpr::R9,
-                               Gpr::R10, Gpr::R11};
-    return regs[rng.pick(10)];
-}
-
-Program
-randomProgram(Rng &rng)
-{
-    ProgramBuilder b;
-    const Addr buf = b.reserveData("buf", 8192);
-    b.markEntry();
-    const unsigned len = 6 + rng.pick(20);
-    for (unsigned i = 0; i < len; ++i) {
-        switch (rng.pick(12)) {
-          case 0:
-            b.movri(randomGpr(rng), rng.pick(1000));
-            break;
-          case 1:
-            b.addi(randomGpr(rng), rng.pick(64));
-            break;
-          case 2:
-            b.load(randomGpr(rng), memAbs(buf + 8 * rng.pick(512)));
-            break;
-          case 3:
-            b.store(memAbs(buf + 8 * rng.pick(512)), randomGpr(rng));
-            break;
-          case 4:
-            b.xor_(randomGpr(rng), randomGpr(rng));
-            break;
-          case 5:
-            b.nop();
-            break;
-          case 6: {
-            // Paired so the SP tracker sees matched stack traffic and
-            // the stream carries eliminated uops.
-            const Gpr reg = randomGpr(rng);
-            b.push(reg);
-            b.pop(reg);
-            break;
-          }
-          case 7:
-            b.repStos(buf + 64 * rng.pick(8), 1 + rng.pick(4));
-            break;
-          case 8:
-            b.lea(randomGpr(rng), memAbs(buf + rng.pick(4096)));
-            break;
-          case 9:
-            b.movdqaLoad(Xmm::Xmm0, memAbs(buf + 16 * rng.pick(256)));
-            break;
-          case 10:
-            b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
-            break;
-          case 11:
-            b.imul(randomGpr(rng), randomGpr(rng));
-            break;
-        }
-    }
-    if (rng.pick(2) == 0) {
-        // A conditional branch: stays mid-block (exits dynamically when
-        // taken) and contributes its target as another region head.
-        b.cmpi(Gpr::Rax, 3);
-        const ProgramBuilder::Label skip = b.newLabel();
-        b.jcc(Cond::Ne, skip);
-        b.nop();
-        b.bind(skip);
-        b.nop();
-    }
-    b.halt();
-    return b.build();
-}
-
-TEST(TierEquivRandom, ProverAccountingEqualsInterpreterMeasurement)
-{
-    Rng rng(0x243f6a8885a308d3ull);
-    std::size_t total_blocks = 0;
-    std::size_t total_macros = 0;
-
-    for (int pi = 0; pi < 100; ++pi) {
-        const Program prog = randomProgram(rng);
-
-        NativeTranslator translator;
-        FlowCache fc;
-        const EnergyModel energy;
-        populateFlowCache(prog, translator, fc);
-
-        // The prover itself must be clean on every generated program.
-        VerifyReport report;
-        auditProgramTiers(prog, translator, report);
-        ASSERT_TRUE(report.empty())
-            << "program " << pi << ":\n"
-            << report.text();
-
-        // And its symbolic per-macro deltas must equal what actually
-        // executing each compiled flow measures — exact equality, per
-        // macro, for dynamic uops, delivered slots, and decoys.
-        const SuperblockBuilder builder(prog, fc, translator, energy);
-        ArchState state;
-        state.loadProgram(prog);
-        FunctionalExecutor exec(state);
-        for (const Addr head : regionHeads(prog)) {
-            const std::unique_ptr<Superblock> block = builder.build(head);
-            if (!block)
-                continue;
-            ++total_blocks;
-            for (const SbMacro &m : block->macros) {
-                ++total_macros;
-                FlowResult result;
-                exec.executeInto(*m.op, *m.flow, result);
-                std::uint64_t delivered = 0;
-                std::uint64_t decoys = 0;
-                for (const DynUop &dyn : result.dynUops) {
-                    if (dyn.uop->eliminated)
-                        continue;
-                    ++delivered;
-                    if (dyn.uop->decoy)
-                        ++decoys;
-                }
-                ASSERT_EQ(m.dynCount, result.dynUops.size())
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-                ASSERT_EQ(m.delivered, delivered)
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-                ASSERT_EQ(m.decoyDelta, decoys)
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-            }
-        }
-    }
-
-    // The corpus must genuinely exercise the tier; a generator drift
-    // that stops producing compilable regions would otherwise pass
-    // vacuously.
-    EXPECT_GT(total_blocks, 50u);
-    EXPECT_GT(total_macros, 500u);
 }
 
 } // namespace
