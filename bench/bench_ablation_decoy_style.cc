@@ -59,6 +59,7 @@ runWithStyle(const CryptoCase &c, DecoyStyle style)
         sim.restart();
         sim.runToHalt();
     }
+    benchNoteEngagement(sim);
     return {sim.cycles(), sim.uopsExecuted(),
             sim.frontend().uopCache().hitRate()};
 }

@@ -47,6 +47,7 @@ runOnce(const AesWorkload &workload, unsigned max_nops,
         sim.restart();
         sim.runToHalt();
     }
+    benchNoteEngagement(sim);
     return {sim.cycles(), sim.uopsExecuted()};
 }
 

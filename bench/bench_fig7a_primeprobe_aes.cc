@@ -56,6 +56,7 @@ runOnce(bool defended)
     config.ledger = &ledger;
     VariantResult result;
     result.attack = runAesAttack(victim, workload, key, config);
+    benchNoteEngagement(victim.sim());
     result.sites = ledger.siteMeasures();
     result.probes = ledger.totalObservations();
 

@@ -219,6 +219,7 @@ main(int argc, char **argv)
             config.ledger = &ledger;
             VariantResult result;
             result.attack = runRsaAttack(victim, workload, config);
+            benchNoteEngagement(victim.sim());
             result.sites = ledger.siteMeasures();
             result.probes = ledger.totalObservations();
             if (const char *dir = std::getenv("CSD_CHANNEL_HEATMAP_DIR");

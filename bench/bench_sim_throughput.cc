@@ -12,6 +12,12 @@
  *  - detailed, flow cache off (every macro-op re-translated)
  *  - cache-only fidelity      (superblock tier on, the default)
  *  - cache-only interpreter   (superblock tier off)
+ *  - defended, detailed and cache-only: the Fig. 7a victim under
+ *    stealth mode (DIFT trigger, T-table decoys, 1000-cycle watchdog)
+ *
+ * The defended rows show whether the host caches engage under the
+ * defense: check_throughput.py fails when either defended run's
+ * flow-cache hit rate drops below 0.99.
  *
  * The cache-on / cache-off ratio is the measured speedup of the
  * predecoded-flow cache, and the cache-only tier-on / tier-off ratio
@@ -27,6 +33,7 @@
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
+#include "sec/victim.hh"
 #include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 #include "workloads/aes.hh"
@@ -46,23 +53,36 @@ struct ThroughputRun
     FastPath::Counters fp;  //!< superblock-tier host counters
 };
 
+/** One measured configuration. */
+struct Config
+{
+    SimMode mode = SimMode::Detailed;
+    bool flowCache = true;
+    bool monitor = false;     //!< arm the channel set monitor
+    bool superblock = true;
+    bool defended = false;    //!< stealth mode, as in the Fig. 7a victim
+};
+
 ThroughputRun
-measure(SimMode mode, bool flow_cache_on, bool arm_monitor = false,
-        bool superblock_on = true)
+measure(const Config &cfg)
 {
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
         key[i] = static_cast<std::uint8_t>(i);
     const AesWorkload workload = AesWorkload::build(key);
 
-    SimParams params;
-    params.mode = mode;
-    Simulation sim(workload.program, params);
-    sim.setFlowCacheEnabled(flow_cache_on);
+    DefenseConfig defense;
+    defense.enabled = cfg.defended;
+    defense.decoyDRange = workload.tTableRange;
+    defense.taintSources = {workload.keyRange};
+    defense.watchdogPeriod = 1000;
+    Victim victim(workload.program, defense, cfg.mode);
+    Simulation &sim = victim.sim();
+    sim.setFlowCacheEnabled(cfg.flowCache);
     // Explicit, so CSD_SUPERBLOCK in the environment cannot skew the
     // gated numbers: both tier configurations are always measured.
-    sim.setSuperblockEnabled(superblock_on);
-    if (arm_monitor)
+    sim.setSuperblockEnabled(cfg.superblock);
+    if (cfg.monitor)
         sim.mem().armSetMonitor();
 
     // Warm host caches, the branch predictor, and the flow cache so
@@ -93,13 +113,18 @@ measure(SimMode mode, bool flow_cache_on, bool arm_monitor = false,
     run.hostSeconds = elapsed;
     run.kuopsPerSec =
         static_cast<double>(run.uops) / 1000.0 / elapsed;
-    const FlowCache &fc = sim.flowCache();
-    const std::uint64_t lookups = fc.hits + fc.misses + fc.invalidations;
-    if (lookups > 0)
-        run.flowCacheHitRate =
-            static_cast<double>(fc.hits) / static_cast<double>(lookups);
+    run.flowCacheHitRate = sim.flowCache().hitRate();
     run.fp = sim.fastPath().counters();
     return run;
+}
+
+/** Share of @p run's uops retired inside compiled superblocks. */
+double
+uopCoverage(const ThroughputRun &run)
+{
+    return run.uops > 0 ? static_cast<double>(run.fp.uopsRetired) /
+                              static_cast<double>(run.uops)
+                        : 0.0;
 }
 
 } // namespace
@@ -112,18 +137,23 @@ main(int argc, char **argv)
                 "Simulated kilo-uops per host second; higher is "
                 "better. Tracks the simulator, not the paper.");
 
-    const ThroughputRun on = measure(SimMode::Detailed, true);
-    const ThroughputRun off = measure(SimMode::Detailed, false);
-    const ThroughputRun cache_only = measure(SimMode::CacheOnly, true);
-    const ThroughputRun interp = measure(SimMode::CacheOnly, true,
-                                         /*arm_monitor=*/false,
-                                         /*superblock_on=*/false);
+    const ThroughputRun on = measure({SimMode::Detailed});
+    const ThroughputRun off =
+        measure({.mode = SimMode::Detailed, .flowCache = false});
+    const ThroughputRun cache_only = measure({SimMode::CacheOnly});
+    const ThroughputRun interp =
+        measure({.mode = SimMode::CacheOnly, .superblock = false});
     // Channel-monitor cost when armed (memory/set_monitor.hh). The
     // disarmed configurations above are the gated baseline: arming is
     // opt-in, so only `cacheonly_kuops_per_s` has to stay inside the
     // check_throughput.py envelope; these are informational.
     const ThroughputRun monitored =
-        measure(SimMode::CacheOnly, true, /*arm_monitor=*/true);
+        measure({.mode = SimMode::CacheOnly, .monitor = true});
+    // The defended victim: informational throughput, gated hit rates.
+    const ThroughputRun def_detailed =
+        measure({.mode = SimMode::Detailed, .defended = true});
+    const ThroughputRun def_cache_only =
+        measure({.mode = SimMode::CacheOnly, .defended = true});
 
     Table table({"configuration", "kuops/s", "uops", "host s",
                  "flow-cache hit"});
@@ -146,6 +176,15 @@ main(int argc, char **argv)
                   std::to_string(monitored.uops),
                   fmt(monitored.hostSeconds, 2),
                   pct(monitored.flowCacheHitRate)});
+    table.addRow({"defended detailed", fmt(def_detailed.kuopsPerSec, 1),
+                  std::to_string(def_detailed.uops),
+                  fmt(def_detailed.hostSeconds, 2),
+                  pct(def_detailed.flowCacheHitRate)});
+    table.addRow({"defended cache-only",
+                  fmt(def_cache_only.kuopsPerSec, 1),
+                  std::to_string(def_cache_only.uops),
+                  fmt(def_cache_only.hostSeconds, 2),
+                  pct(def_cache_only.flowCacheHitRate)});
     table.print();
 
     const double speedup = on.kuopsPerSec / off.kuopsPerSec;
@@ -167,6 +206,15 @@ main(int argc, char **argv)
     benchStat("flow_cache_speedup", speedup);
     benchStat("flow_cache_hit_rate", on.flowCacheHitRate);
     benchStat("superblock_speedup", sb_speedup);
+    benchStat("defended_detailed_kuops_per_s", def_detailed.kuopsPerSec);
+    benchStat("defended_cacheonly_kuops_per_s",
+              def_cache_only.kuopsPerSec);
+    benchStat("defended_detailed_flow_cache_hit_rate",
+              def_detailed.flowCacheHitRate);
+    benchStat("defended_cacheonly_flow_cache_hit_rate",
+              def_cache_only.flowCacheHitRate);
+    benchStat("defended_superblock_uop_coverage",
+              uopCoverage(def_cache_only));
 
     // Superblock-tier host counters from the tier-on cache-only run
     // (sim/fastpath.hh). These live outside the simulated stat tree;
@@ -180,11 +228,7 @@ main(int argc, char **argv)
     benchStat("superblock.entries", static_cast<double>(fp.entries));
     benchStat("superblock.uops_retired",
               static_cast<double>(fp.uopsRetired));
-    benchStat("superblock.uop_coverage",
-              cache_only.uops > 0
-                  ? static_cast<double>(fp.uopsRetired) /
-                        static_cast<double>(cache_only.uops)
-                  : 0.0);
+    benchStat("superblock.uop_coverage", uopCoverage(cache_only));
     for (unsigned i = 0; i < numSbExits; ++i)
         benchStat(std::string("superblock.exit_") +
                       sbExitName(static_cast<SbExit>(i)),
@@ -200,10 +244,7 @@ main(int argc, char **argv)
     std::printf("superblock tier speedup on cache-only: %sx "
                 "(%s of uops retired in compiled blocks)\n",
                 fmt(sb_speedup, 2).c_str(),
-                pct(cache_only.uops > 0
-                        ? static_cast<double>(fp.uopsRetired) /
-                              static_cast<double>(cache_only.uops)
-                        : 0.0).c_str());
+                pct(uopCoverage(cache_only)).c_str());
     std::printf("channel monitor armed: %s kuops/s (%s%% overhead vs "
                 "disarmed cache-only)\n",
                 fmt(monitored.kuopsPerSec, 1).c_str(),

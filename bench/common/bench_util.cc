@@ -13,6 +13,8 @@
 #include "common/stats.hh"
 #include "obs/context.hh"
 #include "obs/manifest.hh"
+#include "sim/fastpath.hh"
+#include "sim/simulation.hh"
 
 namespace csd::bench
 {
@@ -70,6 +72,41 @@ sidecarMutex()
     return m;
 }
 
+
+/** Host-cache engagement summed over a harness's simulations. */
+struct Engagement
+{
+    std::uint64_t fcHits = 0;
+    std::uint64_t fcLookups = 0;
+    std::uint64_t sbUops = 0;
+    std::uint64_t uops = 0;
+    bool atexitArmed = false;
+};
+
+Engagement &
+engagement()
+{
+    static Engagement e;
+    return e;
+}
+
+double
+ratio(std::uint64_t num, std::uint64_t den)
+{
+    return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+void
+printEngagement()
+{
+    std::lock_guard<std::mutex> lock(sidecarMutex());
+    const Engagement &e = engagement();
+    std::printf("host caches: flow-cache hit rate %s, superblock uop "
+                "coverage %s\n",
+                fmt(ratio(e.fcHits, e.fcLookups), 4).c_str(),
+                fmt(ratio(e.sbUops, e.uops), 4).c_str());
+    std::fflush(stdout);
+}
 
 void
 armSidecar(std::string path)
@@ -154,6 +191,22 @@ benchHeader(const std::string &artifact, const std::string &title,
     std::printf("================================================================\n");
 }
 
+void
+benchNoteEngagement(const Simulation &sim)
+{
+    const FlowCache &fc = sim.flowCache();
+    std::lock_guard<std::mutex> lock(sidecarMutex());
+    Engagement &e = engagement();
+    e.fcHits += fc.hits;
+    e.fcLookups += fc.lookups();
+    e.sbUops += sim.fastPath().counters().uopsRetired;
+    e.uops += sim.uopsSimulated();
+    if (!e.atexitArmed) {
+        std::atexit(printEngagement);
+        e.atexitArmed = true;
+    }
+}
+
 bool
 benchJsonEnabled()
 {
@@ -219,16 +272,16 @@ benchWriteJson()
     }
 
     // Hash the run's *inputs*: what was benchmarked and under which
-    // knobs — never --jobs, output paths, or wall time — so a parallel
-    // run's sidecar hashes (and serializes) identically to a serial
-    // run's.
+    // knobs — never --jobs, output paths, wall time, or a host-cache
+    // switch (CSD_FLOW_CACHE, CSD_SUPERBLOCK), whose output neutrality
+    // CI checks — so a parallel or uncached run's sidecar hashes (and
+    // serializes) identically to a serial cached run's.
     obs::ConfigHasher hasher;
     hasher.add("artifact", s.artifact);
     hasher.add("title", s.title);
     for (const std::string &arg : s.hashedArgs)
         hasher.add("arg", arg);
-    for (const char *name :
-         {"CSD_FLOW_CACHE", "CSD_STATS_DETAIL", "CSD_CPI_STACK"}) {
+    for (const char *name : {"CSD_STATS_DETAIL", "CSD_CPI_STACK"}) {
         const char *env = std::getenv(name);
         hasher.add(name, env ? std::string_view(env) : "<unset>");
     }

@@ -25,6 +25,11 @@
 #include <string>
 #include <vector>
 
+namespace csd
+{
+class Simulation;
+}
+
 namespace csd::bench
 {
 
@@ -82,6 +87,17 @@ void benchStat(const std::string &key, const std::string &value);
 void benchManifestNote(const std::string &key, const std::string &value);
 void benchManifestNote(const std::string &key, double value);
 void benchManifestNote(const std::string &key, std::uint64_t value);
+
+/**
+ * Fold a finished simulation's host-cache engagement into the
+ * harness total: flow-cache hits over lookups, and the share of uops
+ * retired inside superblocks. At exit the harness prints the total as
+ * one "host caches:" stdout line, so a cache that silently stops
+ * engaging shows in the bench that suffers it. Host-side only: it never
+ * enters the sidecar's stats or tables, which must not depend on host
+ * switches. Thread safe.
+ */
+void benchNoteEngagement(const Simulation &sim);
 
 /** True iff a sidecar path is armed (--json or CSD_BENCH_JSON). */
 bool benchJsonEnabled();

@@ -1,5 +1,6 @@
 #include "bench/common/crypto_cases.hh"
 
+#include "bench/common/bench_util.hh"
 #include "csd/csd.hh"
 #include "workloads/aes.hh"
 #include "workloads/blowfish.hh"
@@ -148,6 +149,7 @@ runCryptoCase(const CryptoCase &c, bool stealth,
         sim.restart();
         sim.runToHalt();
     }
+    benchNoteEngagement(sim);
 
     CryptoRunStats stats;
     stats.cycles = sim.cycles();

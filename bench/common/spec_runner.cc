@@ -1,5 +1,6 @@
 #include "bench/common/spec_runner.hh"
 
+#include "bench/common/bench_util.hh"
 #include "csd/csd.hh"
 
 namespace csd::bench
@@ -39,6 +40,7 @@ runSpecPolicy(const SpecPreset &preset, GatingPolicy policy,
 
     sim.runToHalt();
     controller.finalize(sim.cycles());
+    benchNoteEngagement(sim);
 
     SpecRunResult result;
     result.name = preset.name;

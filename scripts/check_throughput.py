@@ -21,6 +21,12 @@ guard for the tier. The sidecar must also show the tier actually
 engaged (`superblock.entries` > 0) — a silently disabled tier would
 otherwise pass the ratio check only by failing the absolute floors.
 
+The defended rows (the Fig. 7a victim under stealth mode, detailed and
+cache-only) are gated on engagement, not speed: each one's flow-cache
+hit rate must be at least MIN_DEFENDED_HIT_RATE. Watchdog retriggers
+and MSR writes must not flush the cache; a hit rate near 0 means they
+do again. Their kuops/s are informational.
+
 Host machines differ, so the committed baseline is a floor for CI's
 runner class, not a universal truth; refresh it with
 `bench_sim_throughput --json bench/baseline_throughput.json` on the CI
@@ -45,6 +51,12 @@ MIN_SPEEDUP = 0.9
 # process): the threaded-code tier must at least double cache-only
 # throughput. In-process, so host noise cancels out.
 MIN_SB_SPEEDUP = 2.0
+# Floor for the defended rows' flow-cache hit rates.
+DEFENDED_HIT_RATE_KEYS = (
+    "defended_detailed_flow_cache_hit_rate",
+    "defended_cacheonly_flow_cache_hit_rate",
+)
+MIN_DEFENDED_HIT_RATE = 0.99
 
 
 def fail(msg):
@@ -135,6 +147,18 @@ def main():
             f"tier-off run entered {sb_interp:.0f} superblocks; "
             "setSuperblockEnabled(false) is not being honored"
         )
+
+    for key in DEFENDED_HIT_RATE_KEYS:
+        rate = current.get(key)
+        if rate is None:
+            fail(f"current run missing '{key}'")
+        status = "ok" if rate >= MIN_DEFENDED_HIT_RATE else "REGRESSED"
+        print(
+            f"check_throughput: {key}: current {rate:.4f} "
+            f"floor {MIN_DEFENDED_HIT_RATE:.2f} [{status}]"
+        )
+        if rate < MIN_DEFENDED_HIT_RATE:
+            ok = False
 
     if not ok:
         fail(f"throughput regressed >={max_regression:.0%} vs baseline")

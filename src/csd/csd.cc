@@ -55,10 +55,6 @@ ContextSensitiveDecoder::onMsrWrite(MsrAddr addr, std::uint64_t value)
     // to the decoy range registers while enabled, triggers an immediate
     // mode switch (internal-range snapshot).
     (void)value;
-    // Any MSR write may change what a translation produces (control
-    // bits, decoy ranges, tainted-PC scratchpads): stale memoized flows
-    // must be re-translated.
-    ++epoch_;
     switch (addr) {
       case MsrAddr::CsdControl:
         if (stealthArmed())
@@ -87,7 +83,6 @@ ContextSensitiveDecoder::onMsrWrite(MsrAddr addr, std::uint64_t value)
 void
 ContextSensitiveDecoder::retriggerStealth()
 {
-    ++epoch_;
     pending_.clear();
     for (const AddrRange &range : msrs_.decoyIRanges())
         if (range.valid())
@@ -101,18 +96,6 @@ ContextSensitiveDecoder::retriggerStealth()
                   static_cast<double>(pending_.size()));
     }
 }
-
-
-void
-ContextSensitiveDecoder::setDevectorize(bool on)
-{
-    if (devect_ != on)
-        ++epoch_;
-    devect_ = on;
-}
-
-
-
 
 bool
 ContextSensitiveDecoder::instrTainted(const MacroOp &op) const

@@ -68,10 +68,6 @@ class ContextSensitiveDecoder final : public Translator
     /** Advance the decoder clock; fires the watchdog. */
     void tick(Tick now) override;
 
-    /** Bumped on every trigger-state change (MSR write, devect/MCU
-     *  mode switch, stealth retrigger): cached flows become stale. */
-    std::uint64_t translationEpoch() const override { return epoch_; }
-
     /**
      * A translation is memoizable unless it would consume mutable
      * per-instance state: MCU rule lookup, timing-noise randomness, or
@@ -83,9 +79,17 @@ class ContextSensitiveDecoder final : public Translator
      * Stable flows only ever come from the native or the
      * devectorization path (stealth/MCU/noise translations are never
      * stable), so the expected context is a function of the
-     * devectorize switch and the opcode alone.
+     * devectorize switch and the opcode alone. That context is the
+     * whole cache key: a stable flow is a pure function of
+     * (op, stableContext(op)), so no trigger (MSR write, watchdog
+     * retrigger, mode switch) flushes cached flows, and the decoder
+     * keeps the Translator default epoch of 0 — the paper's context
+     * tag bits instead of a flush on switch.
      */
     unsigned stableContext(const MacroOp &op) const override;
+
+    /** Only devectorizable opcodes ever switch stable context. */
+    bool stableContextFixed(const MacroOp &op) const override;
 
     /** Replay translate()'s accounting for a flow served from cache. */
     void noteCachedTranslation(const MacroOp &op, const UopFlow &flow,
@@ -94,7 +98,7 @@ class ContextSensitiveDecoder final : public Translator
     // --- Devectorization control (unit-criticality predictor) -----------
 
     /** Enable/disable vector->scalar translation (VPU gated). */
-    void setDevectorize(bool on);
+    void setDevectorize(bool on) { devect_ = on; }
     bool devectorizing() const { return devect_; }
 
     // --- Stealth-mode introspection --------------------------------------
@@ -119,13 +123,7 @@ class ContextSensitiveDecoder final : public Translator
     McuEngine &mcu() { return mcu_; }
 
     /** Enable applying installed MCU rules. */
-    void
-    setMcuMode(bool on)
-    {
-        if (mcuMode_ != on)
-            ++epoch_;
-        mcuMode_ = on;
-    }
+    void setMcuMode(bool on) { mcuMode_ = on; }
     bool mcuMode() const { return mcuMode_; }
 
     StatGroup &stats() { return stats_; }
@@ -162,7 +160,6 @@ class ContextSensitiveDecoder final : public Translator
     unsigned lastCtx_ = ctxNative;
     unsigned tracedCtx_ = ctxNative;
     Tick now_ = 0;
-    std::uint64_t epoch_ = 0;
     std::uint64_t noiseLfsr_ = 0xace1ace1ace1ace1ull;
 
     StatGroup stats_;
@@ -211,6 +208,12 @@ ContextSensitiveDecoder::stableContext(const MacroOp &op) const
     // Mirrors translate()'s priority order for the stable paths:
     // selective devectorization first, else the native translation.
     return devect_ && devectorizable(op.opcode) ? ctxDevect : ctxNative;
+}
+
+inline bool
+ContextSensitiveDecoder::stableContextFixed(const MacroOp &op) const
+{
+    return !devectorizable(op.opcode);
 }
 
 inline void

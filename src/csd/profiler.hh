@@ -73,6 +73,18 @@ class DecoderProfiler : public Translator
         return inner_.translationStable(op);
     }
 
+    unsigned
+    stableContext(const MacroOp &op) const override
+    {
+        return inner_.stableContext(op);
+    }
+
+    bool
+    stableContextFixed(const MacroOp &op) const override
+    {
+        return inner_.stableContextFixed(op);
+    }
+
     void
     noteCachedTranslation(const MacroOp &op, const UopFlow &flow,
                           unsigned ctx) override

@@ -11,19 +11,24 @@
  *
  * The table is a flat vector with one slot per static instruction of
  * the program (the simulator indexes it by the macro-op's position in
- * Program::code()), so a lookup is an array access plus an epoch
+ * Program::code()), so a lookup is an array access plus a context
  * compare — no hashing on the hot path. The vector is sized once and
  * never reallocates, so flow references stay stable until clear().
  *
  * This is purely a host optimization — it models no hardware structure
  * and must never change simulated timing or statistics. Architectural
  * faithfulness is kept by the Translator's flow-cache protocol
- * (translator.hh): entries are tagged with the translator's epoch and
- * dropped when trigger state changes, ops whose translation depends on
- * mutable per-instance state bypass the cache entirely, and hits
- * replay the translator's accounting. The hit/miss counters below are
- * host-side plain integers, deliberately outside the simulated stat
- * tree, so a stat dump is byte-identical with the cache on or off.
+ * (translator.hh): each entry is tagged with the decode context it was
+ * translated under, and a lookup expecting another context
+ * re-translates — the micro-op cache's context tag bits, kept on the
+ * host, so a trigger that switches context invalidates only the
+ * entries whose context it moved instead of flushing the table.
+ * Translators with hidden inputs beyond the context also tag entries
+ * with their epoch. Ops whose translation depends on mutable
+ * per-instance state bypass the cache entirely, and hits replay the
+ * translator's accounting. The hit/miss counters below are host-side
+ * plain integers, deliberately outside the simulated stat tree, so a
+ * stat dump is byte-identical with the cache on or off.
  */
 
 #ifndef CSD_DECODE_FLOW_CACHE_HH
@@ -39,7 +44,7 @@
 namespace csd
 {
 
-/** Memoization table: instruction slot -> (epoch, context, flow). */
+/** Memoization table: instruction slot -> (context, epoch, flow). */
 class FlowCache
 {
   public:
@@ -63,13 +68,13 @@ class FlowCache
     std::size_t slots() const { return entries_.size(); }
 
     /**
-     * The cached flow in @p slot if it was recorded under @p epoch by
-     * a translation in context @p expected_ctx, else nullptr. A stale
-     * entry (older epoch) counts as an invalidation; an entry filled
-     * from a different decode context counts as a ctx invalidation (a
-     * translator that changes context without bumping the epoch would
-     * otherwise be served another context's flow). Either way the
-     * caller re-translates and insert() overwrites.
+     * The cached flow in @p slot if it was recorded by a translation
+     * in context @p expected_ctx under @p epoch, else nullptr. An entry
+     * from an older epoch counts as an invalidation; an entry filled
+     * from a different decode context counts as a ctx invalidation
+     * (the normal outcome of a context switch, e.g. toggling
+     * devectorization). Either way the caller re-translates and
+     * insert() overwrites.
      */
     const Entry *
     lookup(std::size_t slot, std::uint64_t epoch, unsigned expected_ctx)
@@ -123,9 +128,10 @@ class FlowCache
     void coolSlot(std::size_t slot) { entries_[slot].heat = 0; }
 
     /**
-     * Record @p flow in @p slot under @p epoch, overwriting any stale
-     * entry. Returns the cached copy; the reference stays valid until
-     * clear()/reset() (the slot vector never reallocates in between).
+     * Record @p flow in @p slot under context @p ctx and @p epoch,
+     * overwriting any stale entry. Returns the cached copy; the
+     * reference stays valid until clear()/reset() (the slot vector
+     * never reallocates in between).
      */
     const UopFlow &
     insert(std::size_t slot, std::uint64_t epoch, unsigned ctx,
@@ -154,10 +160,26 @@ class FlowCache
     /** Number of live entries. */
     std::size_t size() const { return count_; }
 
+    /** lookup() calls so far (bypassed translations never look up). */
+    std::uint64_t
+    lookups() const
+    {
+        return hits + misses + invalidations + ctx_invalidations;
+    }
+
+    /** hits over lookups(); 0 before any lookup. */
+    double
+    hitRate() const
+    {
+        return lookups() ? static_cast<double>(hits) /
+                               static_cast<double>(lookups())
+                         : 0.0;
+    }
+
     // Host-side accounting (see file comment: intentionally not Stats).
     std::uint64_t hits = 0;           //!< served from cache
     std::uint64_t misses = 0;         //!< slot never filled
-    std::uint64_t invalidations = 0;  //!< entry stale (epoch changed)
+    std::uint64_t invalidations = 0;  //!< entry from an older epoch
     std::uint64_t ctx_invalidations = 0;  //!< entry from another context
     std::uint64_t bypasses = 0;       //!< translation unstable, not cached
 

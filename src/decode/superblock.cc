@@ -38,12 +38,12 @@ sbExitName(SbExit exit)
                   "new SbExit enumerator: name it here and cover it in "
                   "tests/sim/test_superblock.cc");
     switch (exit) {
-      case SbExit::End:       return "end";
-      case SbExit::Branch:    return "branch";
-      case SbExit::EpochBump: return "epoch_bump";
-      case SbExit::Unstable:  return "unstable";
-      case SbExit::Budget:    return "budget";
-      case SbExit::NumExits:  break;
+      case SbExit::End:           return "end";
+      case SbExit::Branch:        return "branch";
+      case SbExit::ContextChange: return "context_change";
+      case SbExit::Unstable:      return "unstable";
+      case SbExit::Budget:        return "budget";
+      case SbExit::NumExits:      break;
     }
     return "?";
 }
@@ -95,6 +95,7 @@ SuperblockBuilder::build(Addr entry_pc) const
         macro.op = op;
         macro.flow = &flow;
         macro.ctx = entry->ctx;
+        macro.ctxGuard = !translator.stableContextFixed(*op);
         macro.fallThrough = op->nextPc();
         macro.uopBegin = static_cast<std::uint32_t>(block->uops.size());
         macro.dynCount = static_cast<std::uint32_t>(expand);

@@ -5,7 +5,8 @@
  *
  * A superblock stitches a straight-line run of *cached* flows —
  * entries of the predecoded-flow cache (flow_cache.hh) that are valid
- * under the current translator epoch — into one contiguous uop stream.
+ * under the translator's current contexts — into one contiguous uop
+ * stream.
  * Everything the interpreter re-derives per macro-op is resolved once
  * at build time: the handler group each uop dispatches to (read from
  * the uop.hh handler table the interpreter also switches on), its
@@ -14,12 +15,16 @@
  * stream in UopFlow::forEachExpanded order, so execution is a single
  * linear walk with one indirect jump per uop.
  *
- * Invalidation reuses the translator-epoch protocol verbatim: a
- * superblock records the epoch it was built under, and the fast path
- * compares that against the live epoch at entry (and, because the
- * watchdog can fire mid-block, before every macro-op). A mismatch
- * drops the block back to the interpreter, exactly as a stale flow
- * cache entry drops to the translator.
+ * Invalidation reuses the flow cache's key: each macro records the
+ * decode context its flow was cached under, and before every macro
+ * whose context can move (Translator::stableContextFixed is false —
+ * for the CSD, the devectorizable opcodes) the fast path compares it
+ * against the live stableContext(). A mismatch drops the block back
+ * to the interpreter, exactly as a ctx-mismatched flow-cache entry
+ * drops to the translator. A translator that bumps its epoch is
+ * caught the same way: the block records the epoch it was built
+ * under, checked at entry and, for translators that may bump it
+ * mid-block, before every macro.
  *
  * Like the flow cache, this is purely a host optimization: it models
  * no hardware and must never change simulated timing or statistics
@@ -50,7 +55,7 @@ enum class SbExit : std::uint8_t
 {
     End,        //!< ran off the end of the stream (fall-through)
     Branch,     //!< control left the straight-line path mid-block
-    EpochBump,  //!< translator epoch moved mid-block (e.g. watchdog)
+    ContextChange,  //!< a macro's stable context (or the epoch) moved
     Unstable,   //!< translationStable() went false (taint/decoy state)
     Budget,     //!< run()/maxInstructions budget exhausted mid-block
     NumExits,
@@ -84,6 +89,7 @@ struct SbMacro
     const MacroOp *op = nullptr;   //!< points into Program::code()
     const UopFlow *flow = nullptr; //!< the flow-cache entry's flow
     unsigned ctx = 0;              //!< context the flow was cached under
+    bool ctxGuard = false;         //!< !stableContextFixed(): re-check ctx
     Addr fallThrough = invalidAddr;  //!< nextPc() when no branch taken
     std::uint32_t uopBegin = 0;    //!< range in Superblock::uops
     std::uint32_t uopEnd = 0;
@@ -149,7 +155,8 @@ class SuperblockBuilder
 /**
  * Slot-indexed store of compiled superblocks, keyed like the flow
  * cache by the entry op's position in Program::code(). Stale blocks
- * are detected by the epoch compare at entry and dropped lazily.
+ * are detected by the fast path's context and epoch guards and
+ * dropped lazily.
  */
 class SuperblockCache
 {

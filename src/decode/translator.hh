@@ -43,28 +43,36 @@ class Translator
 
     // --- host-side flow-cache protocol -----------------------------------
     //
-    // The simulation may memoize translate() results per PC. The three
-    // hooks below make that memoization architecturally faithful: the
-    // epoch invalidates cached flows in bulk when trigger state
-    // changes, the stability predicate vetoes memoization for ops whose
-    // translation depends on mutable per-instance state, and the replay
-    // hook reproduces translate()'s accounting so stats stay
-    // bit-identical whether a flow was cached or freshly translated.
+    // The simulation may memoize translate() results per static
+    // instruction. The hooks below make that memoization
+    // architecturally faithful. A memoized flow is keyed on its decode
+    // context, stableContext(op) — the host-side analogue of the
+    // micro-op cache's context tag bits — so a translator whose stable
+    // flows depend on nothing else never flushes: after a context
+    // switch the other context's entries simply miss. The stability
+    // predicate vetoes memoization for ops whose translation depends
+    // on mutable per-instance state, the epoch lets a translator with
+    // further hidden inputs invalidate in bulk, and the replay hook
+    // reproduces translate()'s accounting so stats stay bit-identical
+    // whether a flow was cached or freshly translated.
 
     /**
-     * Monotonic counter bumped whenever a state change could alter the
-     * translation of *any* macro-op (MSR writes, devectorization or MCU
-     * mode switches, stealth retriggers). Cached flows recorded under
-     * an older epoch must be re-translated.
+     * Bulk invalidation for translators whose stable flows depend on
+     * state stableContext() does not capture: bump it whenever that
+     * state changes, and every flow cached (and superblock compiled)
+     * under an older epoch is re-translated. The native translator
+     * and the context-sensitive decoder key everything on the context
+     * and keep the default 0.
      */
     virtual std::uint64_t translationEpoch() const { return 0; }
 
     /**
      * True iff translating @p op right now is a pure function of
-     * (op, epoch): no per-instance randomness (timing noise), no
-     * translation-time side effects beyond plain accounting (stealth
-     * decoy-range consumption), and no mutable rule lookup (MCU mode).
-     * Unstable ops always go through the real translate().
+     * (op, stableContext(op), epoch): no per-instance randomness
+     * (timing noise), no translation-time side effects beyond plain
+     * accounting (stealth decoy-range consumption), and no mutable
+     * rule lookup (MCU mode). Unstable ops always go through the real
+     * translate().
      */
     virtual bool translationStable(const MacroOp &op) const
     {
@@ -73,17 +81,28 @@ class Translator
     }
 
     /**
-     * The contextId() a stable translation of @p op would report under
-     * the current epoch. The flow cache compares this against the
-     * context an entry was filled under, so a translator that switched
-     * contexts without bumping the epoch (a protocol violation) is
-     * caught instead of being served another context's flow. Only
+     * The contextId() a stable translation of @p op would report right
+     * now: the flow cache's per-entry key. An entry filled under
+     * another context counts as a ctx invalidation and is
+     * re-translated, and the superblock tier leaves a block before a
+     * macro whose context moved since the block was compiled. Only
      * meaningful when translationStable(op) holds.
      */
     virtual unsigned stableContext(const MacroOp &op) const
     {
         (void)op;
         return 0;
+    }
+
+    /**
+     * True iff stableContext(@p op) can never change. The superblock
+     * tier then compiles @p op without a per-macro context guard. The
+     * default (false) keeps the guard on every macro.
+     */
+    virtual bool stableContextFixed(const MacroOp &op) const
+    {
+        (void)op;
+        return false;
     }
 
     /**

@@ -5,8 +5,9 @@
  * Every stats dump and bench JSON sidecar carries a "manifest" member
  * answering "what produced this file?": a hash of the run
  * configuration, the git revision and build flags the binary was
- * compiled from, the host it ran on, harness extras (seed, translator
- * epoch), and host wall-time phases from the self-profiler. Two runs
+ * compiled from, the host it ran on, harness extras (inputs such as a
+ * seed or sweep axis, which also feed config_hash), and host
+ * wall-time phases from the self-profiler. Two runs
  * that should be comparable have equal config_hash; everything except
  * "phases" is deterministic for a fixed build + host + configuration,
  * which is what lets scripts/check_sidecar_determinism.py demand
@@ -19,7 +20,7 @@
  *     "git_describe": "...", "build_type": "...",
  *     "compiler": "...", "build_flags": "...",
  *     "host": "...",
- *     ...harness extras (e.g. "seed", "translator_epoch")...,
+ *     ...harness extras (e.g. "seed")...,
  *     "phases": {"total": seconds, "<phase>": seconds, ...}
  *   }
  */

@@ -1,5 +1,7 @@
 #include "sim/fastpath.hh"
 
+#include <type_traits>
+
 #include "common/stats.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
@@ -14,6 +16,32 @@
 
 namespace csd
 {
+
+namespace
+{
+
+// Flow-cache key parts a concrete translator type leaves at the
+// Translator default (an epoch and a context that are always 0), so
+// execBlock drops their per-macro checks at compile time.
+// &Tr::hook names Translator's member unless Tr declares its own.
+template <class Tr>
+constexpr bool fixedEpoch =
+    !std::is_same_v<Tr, Translator> &&
+    std::is_same_v<decltype(&Tr::translationEpoch),
+                   std::uint64_t (Translator::*)() const>;
+
+template <class Tr>
+constexpr bool fixedContext =
+    !std::is_same_v<Tr, Translator> &&
+    std::is_same_v<decltype(&Tr::stableContext),
+                   unsigned (Translator::*)(const MacroOp &) const>;
+
+static_assert(fixedEpoch<NativeTranslator> &&
+              fixedContext<NativeTranslator> &&
+              fixedEpoch<ContextSensitiveDecoder> &&
+              !fixedContext<ContextSensitiveDecoder>);
+
+} // namespace
 
 std::uint64_t
 FastPath::run(std::uint64_t budget)
@@ -73,10 +101,9 @@ FastPath::runImpl(Tr &tr, std::uint64_t budget)
         // matching per-macro tick in execBlock at the same cycle is a
         // no-op: the watchdog disarms when it fires.
         tr.tick(sim_.cycles_);
-        const std::uint64_t epoch = tr.translationEpoch();
 
         Superblock *block = cache_.at(slot);
-        if (block && block->epoch != epoch) {
+        if (block && block->epoch != tr.translationEpoch()) {
             cache_.invalidate(slot);
             ++counters_.invalidated;
             block = nullptr;
@@ -107,8 +134,15 @@ FastPath::runImpl(Tr &tr, std::uint64_t budget)
         const SbExit exit =
             execBlock<Tr, Taint>(tr, *block, budget, executed);
         ++counters_.exits[static_cast<unsigned>(exit)];
+        if (exit == SbExit::ContextChange) {
+            // Compiled under a context that has since moved: drop it.
+            // It recompiles from the re-translated flows once they are
+            // cached (its head stays hot).
+            cache_.invalidate(slot);
+            ++counters_.invalidated;
+        }
         if (exit != SbExit::End && exit != SbExit::Branch)
-            break;  // epoch/stability/budget: the interpreter takes over
+            break;  // context/stability/budget: the interpreter takes over
         // End or Branch landed on a new region head: chain into its
         // block (or compile it) without surfacing to the interpreter.
     }
@@ -160,14 +194,24 @@ FastPath::execBlock(Tr &tr, const Superblock &block, std::uint64_t budget,
         }
 
         // The interpreter's per-step translator protocol, in order:
-        // tick (watchdog), epoch currency, per-op stability. Any
-        // mid-block trigger change surfaces here at the macro boundary
-        // and hands the rest of the region to the interpreter. For the
-        // native translator every check folds to a constant.
+        // tick (watchdog), the flow-cache key (epoch, then the
+        // context of macros whose context can move), per-op
+        // stability. Any mid-block trigger change surfaces here at the
+        // macro boundary and hands the rest of the region to the
+        // interpreter. For the native translator every check folds
+        // away.
         tr.tick(cycles);
-        if (tr.translationEpoch() != block.epoch) {
-            flush();
-            return SbExit::EpochBump;
+        if constexpr (!fixedEpoch<Tr>) {
+            if (tr.translationEpoch() != block.epoch) {
+                flush();
+                return SbExit::ContextChange;
+            }
+        }
+        if constexpr (!fixedContext<Tr>) {
+            if (m.ctxGuard && tr.stableContext(*m.op) != m.ctx) {
+                flush();
+                return SbExit::ContextChange;
+            }
         }
         if (!tr.translationStable(*m.op)) {
             flush();

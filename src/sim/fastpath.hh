@@ -16,13 +16,15 @@
  * interpreter runs, and each macro takes the interpreter's cache-only
  * timing steps (cache_only::fetchMacro, probeUop, macroCycles).
  *
- * Exit protocol: a superblock is entered only while the translator
- * epoch it was built under is current. Before every macro it repeats
- * the interpreter's per-step translator protocol (watchdog tick, epoch
- * compare, stability probe), and it leaves only at a macro boundary:
- * after a taken branch or the last macro (End/Branch, which chain into
- * the next block), or before a macro on an epoch bump, stability loss
- * or budget exhaustion (which hand control back to the interpreter).
+ * Exit protocol: before every macro a block repeats the interpreter's
+ * per-step translator protocol — watchdog tick, the flow-cache key
+ * (the macro's cached decode context against the live
+ * stableContext(), for macros whose context can move, plus the epoch
+ * for translators that have one), stability probe — and it leaves
+ * only at a macro boundary: after a taken branch or the last macro
+ * (End/Branch, which chain into the next block), or before a macro on
+ * a context change (which also drops the block), stability loss or
+ * budget exhaustion (which hand control back to the interpreter).
  * Either way a whole-macro prefix has retired with all architectural
  * and accounting state exactly as the interpreter would have left it.
  * Tier on or off, stats dumps and sidecars are bit-identical
@@ -55,7 +57,7 @@ class FastPath
     {
         std::uint64_t built = 0;        //!< superblocks compiled
         std::uint64_t buildAborts = 0;  //!< builds under minMacros
-        std::uint64_t invalidated = 0;  //!< blocks dropped (stale epoch)
+        std::uint64_t invalidated = 0;  //!< blocks dropped (stale context)
         std::uint64_t entries = 0;      //!< block executions started
         std::uint64_t blockMacros = 0;  //!< static macro-ops compiled
         std::uint64_t blockUops = 0;    //!< static uops compiled
@@ -70,9 +72,9 @@ class FastPath
 
     /**
      * Drop every compiled block. Required whenever the flow cache is
-     * cleared: superblocks hold pointers into its entries, and only the
-     * epoch compare keeps a block from being entered — a cleared flow
-     * cache under an unchanged epoch would otherwise leave enterable
+     * cleared: superblocks hold pointers into its entries, and their
+     * guards compare contexts, not entry liveness — a cleared flow
+     * cache under unchanged contexts would otherwise leave enterable
      * blocks referencing destroyed flows.
      */
     void clear() { cache_.clear(); }

@@ -225,9 +225,9 @@ Simulation::setTranslator(Translator *translator)
 {
     translator_ = translator ? translator : &nativeTranslator_;
     // Cached flows belong to the previous translator: drop them, and
-    // the superblocks compiled from them (a new translator may reuse
-    // epoch numbers, so the entry-time epoch compare alone can't tell
-    // its flows from the old ones).
+    // the superblocks compiled from them (a new translator reuses the
+    // same context ids and epochs, so the guards alone can't tell its
+    // flows from the old ones).
     flowCache_.clear();
     fastpath_->clear();
 }
@@ -239,7 +239,7 @@ Simulation::setFlowCacheEnabled(bool on)
     if (!on) {
         flowCache_.clear();
         // Superblocks point into the flow cache's entries; with the
-        // flows destroyed under an unchanged epoch they must go too.
+        // flows destroyed under unchanged contexts they must go too.
         fastpath_->clear();
     }
 }
@@ -762,7 +762,6 @@ Simulation::buildManifest() const
     // No context id here: it depends on construction order, and the
     // manifest promises "deterministic except phases" for a fixed
     // build + host + configuration.
-    manifest.note("translator_epoch", translator_->translationEpoch());
     return manifest;
 }
 

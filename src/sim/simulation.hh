@@ -315,8 +315,8 @@ class Simulation
     /**
      * Hierarchical JSON dump of the whole stat tree, led by a
      * "manifest" member (obs/manifest.hh) recording the configuration
-     * hash, build/host provenance, translator epoch, and host
-     * wall-time phases of this run.
+     * hash, build/host provenance, and host wall-time phases of this
+     * run.
      */
     void dumpStatsJson(std::ostream &os) const;
 

@@ -124,26 +124,35 @@ checkSuperblock(const Superblock &block, const Program &prog,
             }
         }
 
-        // Flow-cache provenance: the interpreter resuming after an
-        // exit fetches this macro's flow from its own cache, so the
-        // block must have been compiled from exactly that entry.
+        // Flow-cache provenance, keyed like the cache: the block must
+        // have been compiled from exactly the entry cached under the
+        // macro's recorded context, and a macro whose context can move
+        // must carry the guard that re-checks it before it runs — else
+        // an exit could hand the interpreter a state its own cache
+        // would not reproduce.
         const auto slot = static_cast<std::size_t>(m.op - code_base);
         const FlowCache::Entry *entry =
-            slot < fc.slots()
-                ? fc.peek(slot, block.epoch,
-                          translator.stableContext(*m.op))
-                : nullptr;
+            slot < fc.slots() ? fc.peek(slot, block.epoch, m.ctx)
+                              : nullptr;
         if (!entry) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
                        tag + ": macro " + std::to_string(mi) +
-                           "'s flow is not cached under the block's "
-                           "epoch/context — the interpreter could not "
-                           "reproduce this macro");
-        } else if (m.flow != &entry->flow || m.ctx != entry->ctx) {
+                           "'s flow is not cached under its recorded "
+                           "context " + std::to_string(m.ctx) +
+                           " — the interpreter could not reproduce "
+                           "this macro");
+        } else if (m.flow != &entry->flow) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
                        tag + ": macro " + std::to_string(mi) +
-                           " records stale flow/context provenance for "
-                           "its flow-cache entry");
+                           " records stale flow provenance for its "
+                           "flow-cache entry");
+        }
+        if (!m.ctxGuard && !translator.stableContextFixed(*m.op)) {
+            addFinding(report, prog, "tier.accounting-skew", mpc,
+                       tag + ": macro " + std::to_string(mi) +
+                           "'s decode context can change but the block "
+                           "does not guard it — a context switch would "
+                           "replay the stale flow");
         }
     }
 

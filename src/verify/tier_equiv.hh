@@ -16,10 +16,11 @@
  *    macros follow interpreter (fall-through) order; the recorded
  *    resume PCs are the ops' nextPc; unconditional transfers end the
  *    block; and no Halt is admitted (the interpreter owns termination);
- *  - tier.accounting-skew — every macro's flow and context are the
- *    flow-cache entry the interpreter would fetch under the block's
- *    epoch, so an exit hands back a state the interpreter's own cache
- *    would reproduce.
+ *  - tier.accounting-skew — every macro's flow is the flow-cache entry
+ *    cached under the macro's recorded decode context (the cache's
+ *    key), and every macro whose context can move carries the fast
+ *    path's context guard, so an exit hands back a state the
+ *    interpreter's own cache would reproduce.
  *
  * Dynamic bit-identity (tests/sim/test_superblock.cc and the
  * generated-program differential test) covers the rest.
@@ -53,8 +54,9 @@ struct TierAudit
 
 /**
  * Prove one compiled @p block's exit protocol against @p prog and the
- * flows cached in @p fc under the block's epoch and @p translator's
- * stable contexts. Appends tier.* findings to @p report.
+ * flows cached in @p fc under each macro's recorded context, with
+ * @p translator deciding which macros need a context guard. Appends
+ * tier.* findings to @p report.
  */
 void checkSuperblock(const Superblock &block, const Program &prog,
                      const FlowCache &fc, const Translator &translator,

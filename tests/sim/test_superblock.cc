@@ -138,8 +138,11 @@ runRsaStealth(bool tier_on)
 
 /**
  * The adversarial case: CSD trigger state toggles between phases
- * (stealth, devectorization, timing noise), each toggle an MSR write
- * that bumps the translation epoch and must drop compiled blocks.
+ * (stealth, devectorization, timing noise) while the watchdog
+ * retriggers stealth every 700 cycles. None of these triggers changes
+ * the decode context of an AES op (the victim has no devectorizable
+ * opcode), so compiled blocks must survive every toggle; only the
+ * timing-noise phase and pending decoys make ops unstable.
  */
 CacheOnlyRecord
 runTriggerToggling(bool tier_on)
@@ -218,9 +221,15 @@ TEST(Superblock, TriggerTogglingBitIdentical)
     const CacheOnlyRecord off = runTriggerToggling(false);
     expectIdentical(on, off);
     EXPECT_GT(on.fp.entries, 0u);
-    // The MSR writes at phase entry bump the epoch; blocks compiled in
-    // the previous phase must be dropped at their next entry attempt.
-    EXPECT_GT(on.fp.invalidated, 0u);
+    // Blocks are keyed on the decode context: MSR writes, watchdog
+    // retriggers and a devect toggle that touches no AES opcode drop
+    // none of them ...
+    EXPECT_EQ(on.fp.invalidated, 0u);
+    EXPECT_EQ(on.fp.exits[static_cast<unsigned>(SbExit::ContextChange)],
+              0u);
+    // ... while timing noise and pending decoys leave blocks as
+    // stability losses.
+    EXPECT_GT(on.fp.exits[static_cast<unsigned>(SbExit::Unstable)], 0u);
 }
 
 // --- exit-protocol unit scenarios --------------------------------------
@@ -269,44 +278,85 @@ TEST(Superblock, BranchOutExitsBlock)
     EXPECT_EQ(total, fp.entries);
 }
 
-TEST(Superblock, EpochBumpMidBlockFallsBack)
+/** What the tier had compiled when devectorization switched on. */
+struct TogglePoint
 {
-    // The stealth watchdog period (5000 cycles) outlives one AES run
-    // (~3200 cycles) but not two: blocks compile under a settled epoch
-    // at a run boundary and then a retrigger fires mid-execution. The
-    // per-macro protocol must surface the bump (or the stability loss
-    // the refilled decoy queue causes) as a mid-block exit, and the
-    // stale blocks must be dropped at their next entry attempt.
-    std::array<std::uint8_t, 16> key{};
-    for (unsigned i = 0; i < 16; ++i)
-        key[i] = static_cast<std::uint8_t>(0x60 + i);
-    const AesWorkload workload = AesWorkload::build(key);
+    bool guardedMidBlock = false;  //!< a block's first guard is not at its head
+    std::uint64_t built = 0;       //!< blocks compiled so far
+};
 
+/**
+ * The vector loop under a CSD with no defense armed: two warm runs (the
+ * tier compiles the loop body), then a third run sliced at
+ * @p toggle_at instructions where selective devectorization switches
+ * on, then two more runs. @p point (if given) receives the tier's state
+ * at the toggle.
+ */
+CacheOnlyRecord
+runVectorLoopDevectToggle(bool tier_on, std::uint64_t toggle_at,
+                          TogglePoint *point = nullptr)
+{
+    const Program prog = testsupport::vectorLoopProgram();
     SimParams params;
     params.mode = SimMode::CacheOnly;
-    Simulation sim(workload.program, params);
+    Simulation sim(prog, params);
+    sim.setSuperblockEnabled(tier_on);
     sim.setSuperblockThreshold(1);
 
     MsrFile msrs;
-    TaintTracker taint;
-    ContextSensitiveDecoder csd(msrs, &taint);
-    taint.addTaintSource(workload.keyRange);
-    msrs.setWatchdogPeriod(5000);
-    msrs.setDecoyDRange(0, workload.tTableRange);
-    msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
-    sim.setTaintTracker(&taint);
+    ContextSensitiveDecoder csd(msrs, nullptr);
     sim.setCsd(&csd);
 
-    for (int i = 0; i < 12; ++i) {
+    for (int run = 0; run < 2; ++run) {
         sim.restart();
         sim.runToHalt();
     }
-    const FastPath::Counters &fp = sim.fastPath().counters();
-    EXPECT_GT(fp.entries, 0u);
-    EXPECT_GT(fp.exits[static_cast<unsigned>(SbExit::EpochBump)] +
-                  fp.exits[static_cast<unsigned>(SbExit::Unstable)],
-              0u);
-    EXPECT_GT(fp.invalidated, 0u);
+    sim.restart();
+    sim.run(toggle_at);
+    if (point) {
+        *point = TogglePoint{};
+        point->built = sim.fastPath().counters().built;
+        const SuperblockCache &cache = sim.fastPath().cache();
+        for (std::size_t slot = 0; slot < cache.slots(); ++slot) {
+            const Superblock *block = cache.at(slot);
+            if (!block || block->macros.front().ctxGuard)
+                continue;
+            for (const SbMacro &m : block->macros)
+                point->guardedMidBlock |= m.ctxGuard;
+        }
+    }
+    csd.setDevectorize(true);
+    sim.runToHalt();
+    for (int run = 0; run < 2; ++run) {
+        sim.restart();
+        sim.runToHalt();
+    }
+    return finishRecord(sim, &csd);
+}
+
+TEST(Superblock, ContextChangeMidBlockFallsBack)
+{
+    // Devectorization switches on partway through a run. The loop
+    // block compiled under the native context starts with scalar ops,
+    // so its guard fires mid-block, at the first vector op: the block
+    // must hand the rest of the iteration to the interpreter, be
+    // dropped, and recompile from the devectorized flows — with the
+    // stats identical to the interpreter's wherever the toggle lands.
+    for (const std::uint64_t toggle_at : {1u, 37u, 100u, 211u}) {
+        SCOPED_TRACE("toggle at " + std::to_string(toggle_at));
+        TogglePoint point;
+        const CacheOnlyRecord on =
+            runVectorLoopDevectToggle(true, toggle_at, &point);
+        const CacheOnlyRecord off =
+            runVectorLoopDevectToggle(false, toggle_at);
+        expectIdentical(on, off);
+        ASSERT_TRUE(point.guardedMidBlock);
+        EXPECT_GT(on.fp.exits[static_cast<unsigned>(SbExit::ContextChange)],
+                  0u);
+        EXPECT_GT(on.fp.invalidated, 0u);
+        // The dropped blocks recompile from the devectorized flows.
+        EXPECT_GT(on.fp.built, point.built);
+    }
 }
 
 TEST(Superblock, ExitNamesPinTheSidecarKeys)
@@ -316,7 +366,7 @@ TEST(Superblock, ExitNamesPinTheSidecarKeys)
     // exact spellings, so renaming an enumerator is a breaking change
     // this test makes explicit.
     const std::array<const char *, numSbExits> names = {
-        "end", "branch", "epoch_bump", "unstable", "budget"};
+        "end", "branch", "context_change", "unstable", "budget"};
     for (unsigned i = 0; i < numSbExits; ++i) {
         const SbExit exit = static_cast<SbExit>(i);
         EXPECT_STREQ(sbExitName(exit), names[i]);
@@ -353,23 +403,18 @@ TEST(Superblock, DisablingDropsCompiledBlocks)
 }
 
 /**
- * Run the AES victim under a CSD with no defense armed: three runs
+ * Run the vector loop under a CSD with no defense armed: three runs
  * (the tier compiles blocks), then a change to what translations
  * produce — the devectorization switch, or a control-MSR write arming
- * timing noise — then three more runs that must drop the stale blocks
- * at their next entry.
+ * timing noise — then three more runs.
  */
 CacheOnlyRecord
-runAesAcrossTranslationChange(bool tier_on, bool use_devect)
+runAcrossTranslationChange(bool tier_on, bool use_devect)
 {
-    std::array<std::uint8_t, 16> key{};
-    for (unsigned i = 0; i < 16; ++i)
-        key[i] = static_cast<std::uint8_t>(0x11 * i);
-    const AesWorkload workload = AesWorkload::build(key);
-
+    const Program prog = testsupport::vectorLoopProgram();
     SimParams params;
     params.mode = SimMode::CacheOnly;
-    Simulation sim(workload.program, params);
+    Simulation sim(prog, params);
     sim.setSuperblockEnabled(tier_on);
     sim.setSuperblockThreshold(1);
 
@@ -395,12 +440,24 @@ TEST(Superblock, TranslationChangeInvalidatesBlocks)
     for (const bool use_devect : {true, false}) {
         SCOPED_TRACE(use_devect ? "setDevectorize" : "control MSR");
         const CacheOnlyRecord on =
-            runAesAcrossTranslationChange(true, use_devect);
+            runAcrossTranslationChange(true, use_devect);
         const CacheOnlyRecord off =
-            runAesAcrossTranslationChange(false, use_devect);
+            runAcrossTranslationChange(false, use_devect);
         expectIdentical(on, off);
         EXPECT_GT(on.fp.built, 0u);
-        EXPECT_GT(on.fp.invalidated, 0u);
+        const auto exits = [&](SbExit exit) {
+            return on.fp.exits[static_cast<unsigned>(exit)];
+        };
+        if (use_devect) {
+            // The vector ops' context moved: their blocks are dropped.
+            EXPECT_GT(on.fp.invalidated, 0u);
+            EXPECT_GT(exits(SbExit::ContextChange), 0u);
+        } else {
+            // Timing noise changes no stable context — it makes every
+            // translation unstable, so blocks are left, not dropped.
+            EXPECT_EQ(on.fp.invalidated, 0u);
+            EXPECT_GT(exits(SbExit::Unstable), 0u);
+        }
     }
 }
 
@@ -491,8 +548,8 @@ TEST(Superblock, BudgetExitAtEveryChunkSizeBitIdentical)
  * RISC-V": every program runs cache-only with the tier on and off, and
  * the stats dumps must be byte-identical — under the native translator
  * and under a stealth-mode CSD whose watchdog period is drawn from the
- * seed, so blocks meet epoch bumps and stability loss at arbitrary
- * points.
+ * seed, so blocks meet stability loss (decoys pending after each
+ * retrigger) at arbitrary points.
  */
 CacheOnlyRecord
 runGenerated(const testsupport::RandomProgram &gen, bool stealth,
@@ -530,7 +587,7 @@ TEST(SuperblockDifferential, GeneratedProgramsBitIdentical)
     constexpr unsigned numPrograms = 120;
     Random rng(0x243f6a8885a308d3ull);
     unsigned built[2] = {0, 0};  // [native, stealth]
-    unsigned left_mid_block = 0; // stealth: epoch-bump/unstable exits
+    unsigned left_mid_block = 0; // context-change/unstable exits
     for (unsigned pi = 0; pi < numPrograms; ++pi) {
         const testsupport::RandomProgram gen =
             testsupport::randomProgram(rng);
@@ -548,7 +605,7 @@ TEST(SuperblockDifferential, GeneratedProgramsBitIdentical)
             const auto exits = [&](SbExit exit) {
                 return on.fp.exits[static_cast<unsigned>(exit)];
             };
-            if (exits(SbExit::EpochBump) + exits(SbExit::Unstable) > 0)
+            if (exits(SbExit::ContextChange) + exits(SbExit::Unstable) > 0)
                 ++left_mid_block;
         }
         if (HasFailure())

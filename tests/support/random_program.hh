@@ -11,13 +11,23 @@
  * are region heads, so the superblock tier compiles, chains and exits
  * blocks within one run. Every program passes ProgramBuilder's
  * structural verifier.
+ *
+ * Alongside the programs: a seeded schedule of CSD trigger events
+ * (control-MSR writes, decoy-range and tainted-PC rewrites,
+ * devectorization and MCU-mode toggles) that a differential test
+ * fires between instruction slices, and a fixed vector loop whose
+ * devectorizable ops sit mid-region.
  */
 
 #ifndef CSD_TESTS_SUPPORT_RANDOM_PROGRAM_HH
 #define CSD_TESTS_SUPPORT_RANDOM_PROGRAM_HH
 
+#include <algorithm>
+#include <vector>
+
 #include "common/addr_range.hh"
 #include "common/random.hh"
+#include "csd/csd.hh"
 #include "isa/program.hh"
 
 namespace csd::testsupport
@@ -110,6 +120,152 @@ randomProgram(Random &rng)
     b.jcc(Cond::Ne, top);
     b.halt();
     return {b.build(), AddrRange(buf, buf + bufSize)};
+}
+
+/**
+ * A fixed counted loop of @p trips iterations whose body interleaves
+ * scalar ALU ops with devectorizable vector ops, none at the loop
+ * head: a superblock compiled at the head meets a devectorizable macro
+ * only mid-block.
+ */
+inline Program
+vectorLoopProgram(std::int64_t trips = 64)
+{
+    ProgramBuilder b;
+    const Addr buf = b.reserveData("vbuf", 256);
+    b.markEntry();
+    b.movri(Gpr::R15, trips);
+    const ProgramBuilder::Label top = b.newLabel();
+    b.bind(top);
+    b.addi(Gpr::Rax, 1);
+    b.movdqaLoad(Xmm::Xmm0, memAbs(buf + 16));
+    b.xor_(Gpr::Rbx, Gpr::Rax);
+    b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
+    b.addi(Gpr::Rcx, 3);
+    b.vecOp(MacroOpcode::Pxor, Xmm::Xmm1, Xmm::Xmm0);
+    b.subi(Gpr::R15, 1);
+    b.jcc(Cond::Ne, top);
+    b.halt();
+    return b.build();
+}
+
+/** One CSD trigger change, fired @c at instructions into a run. */
+struct TriggerEvent
+{
+    enum class Kind : std::uint8_t
+    {
+        Control,     //!< CSD control MSR := bits
+        DecoyRange,  //!< decoy I- or D-range register := range
+        TaintedPc,   //!< tainted-PC register := pc
+        Devect,      //!< setDevectorize(on)
+        McuMode,     //!< setMcuMode(on)
+    };
+
+    std::uint64_t at = 0;
+    Kind kind = Kind::Control;
+    std::uint64_t bits = 0;  //!< Control
+    unsigned index = 0;      //!< DecoyRange / TaintedPc register
+    bool instrRange = false; //!< DecoyRange: I-range (else D-range)
+    AddrRange range;         //!< DecoyRange
+    Addr pc = 0;             //!< TaintedPc
+    bool on = false;         //!< Devect / McuMode
+};
+
+/** Per run, the events to fire, in increasing @c at order. */
+using TriggerSchedule = std::vector<std::vector<TriggerEvent>>;
+
+/**
+ * A seeded trigger schedule for @p runs invocations of @p gen. Control
+ * writes draw a random subset of the stealth, DIFT, PC-range and
+ * timing-noise bits (noise in about one write in four, since it makes
+ * every translation unstable); decoy ranges land in the data buffer or
+ * on the code; tainted PCs are instruction addresses of the program.
+ */
+inline TriggerSchedule
+randomTriggerSchedule(Random &rng, const RandomProgram &gen, unsigned runs)
+{
+    const std::vector<MacroOp> &code = gen.program.code();
+    const Addr code_begin = code.front().pc;
+    const Addr code_end = code.back().nextPc();
+    TriggerSchedule schedule(runs);
+    for (std::vector<TriggerEvent> &events : schedule) {
+        const unsigned count = static_cast<unsigned>(rng.below(6));
+        for (unsigned i = 0; i < count; ++i) {
+            TriggerEvent ev;
+            ev.at = rng.below(300);
+            switch (rng.below(5)) {
+              case 0:
+                ev.kind = TriggerEvent::Kind::Control;
+                if (rng.below(2))
+                    ev.bits |= ctrlStealthEnable;
+                if (rng.below(2))
+                    ev.bits |= ctrlDiftTrigger;
+                if (rng.below(2))
+                    ev.bits |= ctrlPcRangeTrigger;
+                if (rng.below(4) == 0)
+                    ev.bits |= ctrlTimingNoise;
+                break;
+              case 1: {
+                ev.kind = TriggerEvent::Kind::DecoyRange;
+                ev.index = static_cast<unsigned>(rng.below(2));
+                ev.instrRange = rng.below(2) == 0;
+                const Addr base = ev.instrRange ? code_begin
+                                                : gen.data.start;
+                const Addr span = ev.instrRange ? code_end - code_begin
+                                                : gen.data.size();
+                const Addr start = base + rng.below(span);
+                ev.range = AddrRange(start, start + 64 + rng.below(512));
+                break;
+              }
+              case 2:
+                ev.kind = TriggerEvent::Kind::TaintedPc;
+                ev.index = static_cast<unsigned>(rng.below(numTaintedPcRegs));
+                ev.pc = code[rng.below(code.size())].pc;
+                break;
+              case 3:
+                ev.kind = TriggerEvent::Kind::Devect;
+                ev.on = rng.below(2) == 0;
+                break;
+              case 4:
+                ev.kind = TriggerEvent::Kind::McuMode;
+                ev.on = rng.below(3) == 0;
+                break;
+            }
+            events.push_back(ev);
+        }
+        std::stable_sort(events.begin(), events.end(),
+                         [](const TriggerEvent &a, const TriggerEvent &b) {
+                             return a.at < b.at;
+                         });
+    }
+    return schedule;
+}
+
+/** Fire @p ev on the decoder and its MSR file. */
+inline void
+applyTrigger(const TriggerEvent &ev, MsrFile &msrs,
+             ContextSensitiveDecoder &csd)
+{
+    switch (ev.kind) {
+      case TriggerEvent::Kind::Control:
+        msrs.setControl(ev.bits);
+        break;
+      case TriggerEvent::Kind::DecoyRange:
+        if (ev.instrRange)
+            msrs.setDecoyIRange(ev.index, ev.range);
+        else
+            msrs.setDecoyDRange(ev.index, ev.range);
+        break;
+      case TriggerEvent::Kind::TaintedPc:
+        msrs.setTaintedPc(ev.index, ev.pc);
+        break;
+      case TriggerEvent::Kind::Devect:
+        csd.setDevectorize(ev.on);
+        break;
+      case TriggerEvent::Kind::McuMode:
+        csd.setMcuMode(ev.on);
+        break;
+    }
 }
 
 } // namespace csd::testsupport

@@ -11,11 +11,13 @@
 #include <memory>
 #include <string>
 
+#include "csd/csd.hh"
 #include "decode/flow_cache.hh"
 #include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "isa/program.hh"
 #include "power/energy.hh"
+#include "tests/support/random_program.hh"
 #include "verify/tier_equiv.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
@@ -178,6 +180,38 @@ TEST(TierEquiv, StaleFlowProvenanceIsAccountingSkew)
     expectAllPinned(report, "tier.accounting-skew", stale.macros[1].op->pc);
 }
 
+TEST(TierEquiv, UnguardedContextSwitchIsAccountingSkew)
+{
+    // Under the CSD, a vector op's decode context moves with the
+    // devectorization switch: the block must re-check it before that
+    // macro, and a block whose guard was dropped would replay the
+    // native flow after the switch.
+    const Program prog = testsupport::vectorLoopProgram();
+    MsrFile msrs;
+    ContextSensitiveDecoder csd(msrs);
+    FlowCache fc;
+    populateFlowCache(prog, csd, fc);
+    const EnergyModel energy;
+    const std::unique_ptr<Superblock> block =
+        SuperblockBuilder(prog, fc, csd, energy).build(prog.entry());
+    ASSERT_NE(block, nullptr);
+
+    VerifyReport report;
+    checkSuperblock(*block, prog, fc, csd, report);
+    EXPECT_TRUE(report.empty()) << report.text();
+
+    Superblock unguarded = *block;
+    const auto vec = std::find_if(
+        unguarded.macros.begin(), unguarded.macros.end(),
+        [](const SbMacro &m) { return m.ctxGuard; });
+    ASSERT_NE(vec, unguarded.macros.end());
+    ASSERT_NE(vec, unguarded.macros.begin());
+    vec->ctxGuard = false;
+    report = VerifyReport{};
+    checkSuperblock(unguarded, prog, fc, csd, report);
+    expectAllPinned(report, "tier.accounting-skew", vec->op->pc);
+}
+
 TEST(TierEquiv, DivergedFallThroughIsPartialFlush)
 {
     const TierFixture f;
@@ -234,7 +268,7 @@ TEST(TierEquiv, RegionHeadsCoverEntryAndBranchTargets)
 TEST(TierEquiv, PopulateFlowCacheMatchesSimulatorProtocol)
 {
     const TierFixture f;
-    // Every stable, cacheable op must be present under the recorded
+    // Every stable, cacheable op must be present under the returned
     // epoch and the translator's context.
     NativeTranslator translator;
     FlowCache fc;
