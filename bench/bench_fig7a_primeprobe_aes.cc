@@ -9,11 +9,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/parallel.hh"
+#include "common/env.hh"
 #include "sec/aes_attack.hh"
 #include "sec/observation_ledger.hh"
 #include "verify/channel_crosscheck.hh"
@@ -64,7 +64,7 @@ runOnce(bool defended)
     // attack is fully deterministic, so a case-derived file name keeps
     // the files byte-identical at any --jobs (the determinism gate
     // covers them).
-    if (const char *dir = std::getenv("CSD_CHANNEL_HEATMAP_DIR")) {
+    if (const char *dir = knobText(Knob::ChannelHeatmapDir)) {
         monitor.exportFiles(std::string(dir) + "/fig7a_" +
                             (defended ? "defended" : "undefended"));
     }

@@ -10,11 +10,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/parallel.hh"
+#include "common/env.hh"
 #include "sec/observation_ledger.hh"
 #include "sec/rsa_attack.hh"
 #include "verify/channel_crosscheck.hh"
@@ -222,7 +222,7 @@ main(int argc, char **argv)
             benchNoteEngagement(victim.sim());
             result.sites = ledger.siteMeasures();
             result.probes = ledger.totalObservations();
-            if (const char *dir = std::getenv("CSD_CHANNEL_HEATMAP_DIR");
+            if (const char *dir = knobText(Knob::ChannelHeatmapDir);
                 dir && flush_reload) {
                 monitor.exportFiles(
                     std::string(dir) + "/fig7b_" +

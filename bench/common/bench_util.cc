@@ -162,7 +162,7 @@ benchInit(int argc, char **argv)
             sidecar().hashedArgs.push_back(arg);
     }
     if (path.empty()) {
-        if (const char *env = std::getenv("CSD_BENCH_JSON"))
+        if (const char *env = knobText(Knob::BenchJson))
             path = env;
     }
     armSidecar(std::move(path));
@@ -179,7 +179,7 @@ benchHeader(const std::string &artifact, const std::string &title,
         s.title = title;
         // benchInit() may have been skipped; honor the environment anyway.
         if (s.path.empty()) {
-            if (const char *env = std::getenv("CSD_BENCH_JSON"))
+            if (const char *env = knobText(Knob::BenchJson))
                 armSidecar(env);
         }
     }
@@ -281,9 +281,11 @@ benchWriteJson()
     hasher.add("title", s.title);
     for (const std::string &arg : s.hashedArgs)
         hasher.add("arg", arg);
-    for (const char *name : {"CSD_STATS_DETAIL", "CSD_CPI_STACK"}) {
-        const char *env = std::getenv(name);
-        hasher.add(name, env ? std::string_view(env) : "<unset>");
+    for (const KnobSpec &knob : knobSpecs()) {
+        if (!knob.hashed)
+            continue;
+        const char *value = knobText(knob.knob);
+        hasher.add(knob.name, value ? std::string_view(value) : "<unset>");
     }
     for (const auto &[key, rendered] : s.manifest.extras)
         hasher.add(key, rendered);

@@ -1,7 +1,6 @@
 #include "bench/common/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "common/env.hh"
@@ -19,12 +18,9 @@ bool jobsRequested = false;
 unsigned
 resolveJobs()
 {
-    unsigned jobs = 1;
-    if (jobsRequested) {
-        jobs = requestedJobs;
-    } else if (const char *env = std::getenv("CSD_BENCH_JOBS")) {
-        jobs = parseNonNegativeSetting("CSD_BENCH_JOBS", env);
-    }
+    unsigned jobs = jobsRequested
+        ? requestedJobs
+        : static_cast<unsigned>(knobNumber(Knob::BenchJobs, 1));
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs == 0)

@@ -10,9 +10,12 @@ checks that:
   - every table cell in the sidecar also appears in the stdout text
     (the sidecar mirrors what was printed, not a second computation),
   - every numeric stat is finite,
-  - every key named by --require is present in the sidecar's stats.
+  - every key named by --require is present in the sidecar's stats,
+  - every phase named by --require-phases has non-zero seconds in
+    manifest.phases (run under CSD_HOST_PROFILE=1 for these to exist).
 
-Usage: check_bench_json.py [--require k1,k2,...] <bench-binary> [args...]
+Usage: check_bench_json.py [--require k1,k2,...] [--require-phases p1,...]
+                           <bench-binary> [args...]
 
 A required key ending in ".*" is a prefix requirement: at least one
 stat whose name starts with the prefix must exist (e.g.
@@ -36,16 +39,18 @@ def fail(msg):
 
 def main():
     argv = sys.argv[1:]
-    required = []
-    if argv and argv[0] == "--require":
+    lists = {"--require": [], "--require-phases": []}
+    while argv and argv[0] in lists:
         if len(argv) < 2:
-            fail("--require needs a comma-separated key list")
-        required = [k for k in argv[1].split(",") if k]
+            fail(f"{argv[0]} needs a comma-separated list")
+        lists[argv[0]] = [k for k in argv[1].split(",") if k]
         argv = argv[2:]
+    required = lists["--require"]
+    required_phases = lists["--require-phases"]
     if not argv:
         fail(
             "usage: check_bench_json.py [--require k1,k2,...] "
-            "<bench-binary> [args...]"
+            "[--require-phases p1,...] <bench-binary> [args...]"
         )
     bench = argv[0]
     argv = argv[1:]
@@ -96,6 +101,9 @@ def main():
         for key, value in phases.items():
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 fail(f"manifest phase '{key}' is not a finite number")
+        for phase in required_phases:
+            if not phases.get(phase, 0) > 0:
+                fail(f"manifest phase '{phase}' is not positive: {phases}")
 
         cells = 0
         for table in doc["tables"]:

@@ -1,9 +1,9 @@
 #include "common/stats.hh"
 
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace csd
@@ -12,10 +12,7 @@ namespace csd
 namespace stats_detail
 {
 
-bool processDefault = [] {
-    const char *env = std::getenv("CSD_STATS_DETAIL");
-    return env && *env && *env != '0';
-}();
+bool processDefault = knobFlag(Knob::StatsDetail);
 
 constinit thread_local bool *enabled = &processDefault;
 

@@ -36,8 +36,8 @@ lower(const std::string &s)
 void
 atexitExport()
 {
-    const char *path = std::getenv("CSD_TRACE_FILE");
-    if (path && *path && TraceManager::instance().size() > 0)
+    const char *path = knobText(Knob::TraceFile);
+    if (path && TraceManager::instance().size() > 0)
         TraceManager::instance().exportChromeTrace(path);
 }
 
@@ -93,18 +93,19 @@ TraceManager::bindToThread()
 void
 TraceManager::initFromEnv()
 {
-    if (const char *cap = std::getenv("CSD_TRACE_CAPACITY"))
-        setCapacity(parsePositiveSetting("CSD_TRACE_CAPACITY", cap));
-    if (const char *flags = std::getenv("CSD_TRACE"))
+    if (knobText(Knob::TraceCapacity))
+        setCapacity(knobNumber(Knob::TraceCapacity, capacity_));
+    if (const char *flags = knobText(Knob::Trace))
         configure(flags);
-    if (std::getenv("CSD_TRACE_FILE"))
+    if (knobText(Knob::TraceFile))
         std::atexit(atexitExport);
 }
 
-unsigned
-TraceManager::configure(const std::string &csv)
+std::vector<TraceFlag>
+TraceManager::parseFlagList(const std::string &csv,
+                            std::vector<std::string> &unknown)
 {
-    unsigned enabled_count = 0;
+    std::vector<TraceFlag> flags;
     std::size_t pos = 0;
     while (pos <= csv.size()) {
         std::size_t comma = csv.find(',', pos);
@@ -123,25 +124,39 @@ TraceManager::configure(const std::string &csv)
             continue;
         if (lower(token) == "all") {
             for (unsigned i = 0;
-                 i < static_cast<unsigned>(TraceFlag::NumFlags); ++i) {
-                enable(static_cast<TraceFlag>(i));
-                ++enabled_count;
-            }
+                 i < static_cast<unsigned>(TraceFlag::NumFlags); ++i)
+                flags.push_back(static_cast<TraceFlag>(i));
         } else if (auto flag = parseFlag(token)) {
-            enable(*flag);
-            ++enabled_count;
+            flags.push_back(*flag);
         } else {
-            std::string known;
-            for (unsigned i = 0;
-                 i < static_cast<unsigned>(TraceFlag::NumFlags); ++i) {
-                if (!known.empty())
-                    known += ", ";
-                known += flagNames[i];
-            }
-            warn("unknown trace flag '", token, "' (known: ", known, ")");
+            unknown.push_back(token);
         }
     }
-    return enabled_count;
+    return flags;
+}
+
+std::string
+TraceManager::knownFlags()
+{
+    std::string known;
+    for (const char *name : flagNames) {
+        if (!known.empty())
+            known += ", ";
+        known += name;
+    }
+    return known;
+}
+
+unsigned
+TraceManager::configure(const std::string &csv)
+{
+    std::vector<std::string> unknown;
+    const std::vector<TraceFlag> flags = parseFlagList(csv, unknown);
+    for (TraceFlag flag : flags)
+        enable(flag);
+    for (const std::string &name : unknown)
+        warn("unknown trace flag '", name, "' (known: ", knownFlags(), ")");
+    return static_cast<unsigned>(flags.size());
 }
 
 void

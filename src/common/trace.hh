@@ -210,6 +210,17 @@ class TraceManager
     static const char *flagName(TraceFlag flag);
     static std::optional<TraceFlag> parseFlag(const std::string &name);
 
+    /**
+     * The flags a comma-separated list names, in order ("all" = every
+     * flag; names are case-insensitive and whitespace-trimmed).
+     * Unknown names are appended to @p unknown.
+     */
+    static std::vector<TraceFlag>
+    parseFlagList(const std::string &csv, std::vector<std::string> &unknown);
+
+    /** "Frontend, UopCache, ..." for diagnostics. */
+    static std::string knownFlags();
+
   private:
     void initFromEnv();
 

@@ -33,6 +33,19 @@ struct BackEndParams
     Cycles dispatchLatency = 3;    //!< rename/alloc depth after the IDQ
     Cycles mispredictResteer = 5;  //!< redirect delay past branch resolve
     Cycles takenBranchBubble = 1;  //!< correctly predicted taken branch
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("robEntries", robEntries);
+        f("commitWidth", commitWidth);
+        f("dispatchLatency", dispatchLatency);
+        f("mispredictResteer", mispredictResteer);
+        f("takenBranchBubble", takenBranchBubble);
+    }
 };
 
 /** The out-of-order back end. */

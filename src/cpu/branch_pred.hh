@@ -23,6 +23,18 @@ struct BranchPredParams
     unsigned historyBits = 12;
     unsigned btbEntries = 1024;
     unsigned rasEntries = 16;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("gshareEntries", gshareEntries);
+        f("historyBits", historyBits);
+        f("btbEntries", btbEntries);
+        f("rasEntries", rasEntries);
+    }
 };
 
 /** gshare + BTB + RAS. */

@@ -50,6 +50,35 @@ struct FrontEndParams
 
     // Stack pointer tracker (eliminates rsp-update uops at decode)
     bool spTracker = true;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("fetchBytesPerCycle", fetchBytesPerCycle);
+        f("macroQueueEntries", macroQueueEntries);
+        f("decodeWidth", decodeWidth);
+        f("simpleDecoders", simpleDecoders);
+        f("complexDecoderMaxUops", complexDecoderMaxUops);
+        f("msromWidth", msromWidth);
+        f("uopCacheEnabled", uopCacheEnabled);
+        f("uopCacheSets", uopCacheSets);
+        f("uopCacheWays", uopCacheWays);
+        f("uopCacheSlotsPerWay", uopCacheSlotsPerWay);
+        f("uopCacheWindowBytes", uopCacheWindowBytes);
+        f("uopCacheMaxWaysPerWindow", uopCacheMaxWaysPerWindow);
+        f("uopCacheStreamWidth", uopCacheStreamWidth);
+        f("uopCacheContextBits", uopCacheContextBits);
+        f("uopCacheSwitchPenalty", uopCacheSwitchPenalty);
+        f("lsdEnabled", lsdEnabled);
+        f("lsdMaxSlots", lsdMaxSlots);
+        f("lsdStreamWidth", lsdStreamWidth);
+        f("macroFusion", macroFusion);
+        f("microFusion", microFusion);
+        f("spTracker", spTracker);
+    }
 };
 
 } // namespace csd

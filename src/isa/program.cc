@@ -1,9 +1,9 @@
 #include "isa/program.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/bitutils.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/finding.hh"
 
@@ -528,11 +528,7 @@ ProgramBuilder::verifyStructure(const Program &prog) const
     // setVerify(false) per builder or CSD_VERIFY=0 globally so
     // deliberately broken programs (verifier self-tests) can still be
     // assembled.
-    static const bool envEnabled = [] {
-        const char *env = std::getenv("CSD_VERIFY");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    if (!verify_ || !envEnabled || prog.code_.empty())
+    if (!verify_ || !knobFlag(Knob::Verify, true) || prog.code_.empty())
         return;
 
     // Unified with the csd-verify diagnostic path: structural errors

@@ -29,6 +29,18 @@ struct CacheParams
     std::uint64_t sizeBytes = 32 * 1024;
     unsigned assoc = 8;
     Cycles hitLatency = 4;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("name", name);
+        f("sizeBytes", sizeBytes);
+        f("assoc", assoc);
+        f("hitLatency", hitLatency);
+    }
 };
 
 /** One set-associative cache level. */

@@ -35,6 +35,20 @@ struct MemHierarchyParams
 
     /** Extra cycles added to every L2 access (hardware DIFT tag check). */
     Cycles extraL2Latency = 0;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("l1i", l1i);
+        f("l1d", l1d);
+        f("l2", l2);
+        f("llc", llc);
+        f("dramLatency", dramLatency);
+        f("extraL2Latency", extraL2Latency);
+    }
 };
 
 /** Result of one hierarchy access. */

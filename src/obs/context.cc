@@ -98,27 +98,20 @@ ObservabilityContext::ObservabilityContext(ProcessTag)
     // The process-default context wraps the legacy globals and is the
     // root all other contexts inherit from; parse the env knobs that
     // used to be read ad hoc by Simulation.
-    const char *lc_env = std::getenv("CSD_LIFECYCLE");
-    const char *lc_file = std::getenv("CSD_LIFECYCLE_FILE");
-    lifecycle_.enabled = (lc_env && *lc_env && *lc_env != '0') ||
-                         (lc_file && *lc_file);
-    if (const char *cap = std::getenv("CSD_LIFECYCLE_CAPACITY"))
-        lifecycle_.capacity =
-            parsePositiveSetting("CSD_LIFECYCLE_CAPACITY", cap);
-    if (lc_file && *lc_file)
+    const char *lc_file = knobText(Knob::LifecycleFile);
+    lifecycle_.enabled = knobFlag(Knob::Lifecycle) || lc_file;
+    lifecycle_.capacity =
+        knobNumber(Knob::LifecycleCapacity, lifecycle_.capacity);
+    if (lc_file)
         lifecycle_.exportPath = lc_file;
 
-    const char *prof = std::getenv("CSD_HOST_PROFILE");
-    profiler_.setEnabled(prof && *prof && *prof != '0');
+    profiler_.setEnabled(knobFlag(Knob::HostProfile));
 
-    const char *cm_env = std::getenv("CSD_CHANNEL_MONITOR");
-    const char *cm_file = std::getenv("CSD_CHANNEL_HEATMAP");
-    channelMonitor_.enabled = (cm_env && *cm_env && *cm_env != '0') ||
-                              (cm_file && *cm_file);
-    if (const char *ival = std::getenv("CSD_CHANNEL_MONITOR_INTERVAL"))
-        channelMonitor_.heatmapInterval =
-            parsePositiveSetting("CSD_CHANNEL_MONITOR_INTERVAL", ival);
-    if (cm_file && *cm_file)
+    const char *cm_file = knobText(Knob::ChannelHeatmap);
+    channelMonitor_.enabled = knobFlag(Knob::ChannelMonitor) || cm_file;
+    channelMonitor_.heatmapInterval = knobNumber(
+        Knob::ChannelMonitorInterval, channelMonitor_.heatmapInterval);
+    if (cm_file)
         channelMonitor_.exportPath = cm_file;
 
     // The legacy atexit hook in trace.cc exports this context's tracer
@@ -136,6 +129,7 @@ ObservabilityContext::ObservabilityContext(std::string name)
     ObservabilityContext *parent = currentOrNull();
     if (!parent)
         parent = &process();
+    parent_ = parent;
 
     id_ = nextContextId++;
     const bool named = !name.empty();
@@ -157,9 +151,8 @@ ObservabilityContext::ObservabilityContext(std::string name)
     if (named)
         sink_.label = name_;
 
-    if (const char *path = std::getenv("CSD_TRACE_FILE"))
-        if (*path)
-            traceExportPath_ = path;
+    if (const char *path = knobText(Knob::TraceFile))
+        traceExportPath_ = path;
 
     registerSelf();
 }
@@ -175,6 +168,14 @@ ObservabilityContext::~ObservabilityContext()
                 break;
             }
         }
+        // Under the registry lock: --jobs workers tear contexts down
+        // concurrently. Live children move up to this context's parent,
+        // so parent_ is always alive and no phases are lost.
+        if (parent_)
+            parent_->profiler_.addPhases(profiler_);
+        for (ObservabilityContext *ctx : contexts)
+            if (ctx->parent_ == this)
+                ctx->parent_ = parent_;
     }
     flushNow();
     if (currentOrNull() == this)

@@ -34,6 +34,11 @@
  * to give each simulation its own trace file; a bare path is written
  * by every exporting context in turn (last writer wins), matching the
  * historical single-simulation behavior.
+ *
+ * Phase roll-up: a context that dies folds its host-profiler phase
+ * seconds into the context it inherited from (if that one is still
+ * alive), so a harness that serializes process().profiler() after its
+ * simulations are gone reports the time they spent.
  */
 
 #ifndef CSD_OBS_CONTEXT_HH
@@ -224,6 +229,9 @@ class ObservabilityContext
 
     unsigned id_;
     std::string name_;
+    /** The context this one inherited from (null for process());
+     *  receives its phases at teardown. Guarded by the registry lock. */
+    ObservabilityContext *parent_ = nullptr;
 
     std::unique_ptr<TraceManager> ownedTracer_;  //!< null for process()
     TraceManager *tracer_;

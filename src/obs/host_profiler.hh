@@ -57,6 +57,14 @@ class HostProfiler
         seconds_[static_cast<unsigned>(phase)] += seconds;
     }
 
+    /** Add every phase of @p other (a finished child's totals). */
+    void addPhases(const HostProfiler &other)
+    {
+        for (unsigned i = 0; i < static_cast<unsigned>(HostPhase::NumPhases);
+             ++i)
+            seconds_[i] += other.seconds_[i];
+    }
+
     /** Accumulated seconds attributed to @p phase. */
     double seconds(HostPhase phase) const
     {

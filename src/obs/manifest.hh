@@ -55,6 +55,12 @@ fnv1a64(std::string_view s, std::uint64_t h = 0xcbf29ce484222325ull)
     return h;
 }
 
+/** A params struct: reports each field as f(name, field) from visit(). */
+template <typename T>
+concept VisitableParams = requires(const T &t) {
+    t.visit([](std::string_view, const auto &) {});
+};
+
 /**
  * Order-sensitive hasher over (key, value) configuration pairs.
  * Feed it everything that defines the run's inputs — and nothing that
@@ -75,6 +81,30 @@ class ConfigHasher
     {
         const std::string s = std::to_string(value);
         return add(key, std::string_view(s));
+    }
+
+    /**
+     * Add every field @p params.visit() reports, keyed
+     * "<prefix>.<field>", recursing into nested params structs (their
+     * fields key as "<prefix>.<field>.<subfield>"). Enums hash as
+     * their underlying value.
+     */
+    template <typename P>
+    ConfigHasher &
+    addFields(std::string_view prefix, const P &params)
+    {
+        params.visit([&](std::string_view name, const auto &field) {
+            using T = std::decay_t<decltype(field)>;
+            const std::string key = std::string(prefix) + "." +
+                                    std::string(name);
+            if constexpr (VisitableParams<T>)
+                addFields(key, field);
+            else if constexpr (std::is_enum_v<T>)
+                add(key, static_cast<std::underlying_type_t<T>>(field));
+            else
+                add(key, field);
+        });
+        return *this;
     }
 
     std::uint64_t value() const { return h_; }

@@ -62,6 +62,31 @@ struct EnergyParams
 
     /** Cycles to power the VPU back on (Laurenzano et al. estimate). */
     Cycles vpuWakeLatency = 30;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("intAluEnergy", intAluEnergy);
+        f("intMulEnergy", intMulEnergy);
+        f("branchEnergy", branchEnergy);
+        f("memLoadEnergy", memLoadEnergy);
+        f("memStoreEnergy", memStoreEnergy);
+        f("vecAluEnergy", vecAluEnergy);
+        f("vecMulEnergy", vecMulEnergy);
+        f("vecDivEnergy", vecDivEnergy);
+        f("fpScalarEnergy", fpScalarEnergy);
+        f("legacyDecodeEnergy", legacyDecodeEnergy);
+        f("uopCacheStreamEnergy", uopCacheStreamEnergy);
+        f("coreLeakage", coreLeakage);
+        f("vpuLeakage", vpuLeakage);
+        f("headerAreaRatio", headerAreaRatio);
+        f("vpuSwitchingEnergyPerCycle", vpuSwitchingEnergyPerCycle);
+        f("headerLeakage", headerLeakage);
+        f("vpuWakeLatency", vpuWakeLatency);
+    }
 };
 
 /** Derived quantities of the gating model. */

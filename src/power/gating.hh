@@ -69,6 +69,19 @@ struct GatingParams
      * break-even time).
      */
     Cycles idleGateThreshold = 150;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("policy", policy);
+        f("windowInstrs", windowInstrs);
+        f("lowWatermark", lowWatermark);
+        f("highWatermark", highWatermark);
+        f("idleGateThreshold", idleGateThreshold);
+    }
 };
 
 /**
@@ -103,6 +116,9 @@ class PowerGateController
     void finalize(Tick now);
 
     VpuState state() const { return state_; }
+
+    /** The configuration this controller was built with. */
+    const GatingParams &params() const { return params_; }
 
     // --- results -----------------------------------------------------
 

@@ -1,6 +1,5 @@
 #include "sim/simulation.hh"
 
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 
@@ -76,14 +75,12 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     // only; simulated timing/stats are identical either way). One
     // slot per static instruction, indexed by position in code().
     flowCache_.reset(prog.code().size());
-    if (const char *fc = std::getenv("CSD_FLOW_CACHE"))
-        flowCacheEnabled_ = parseBoolSetting("CSD_FLOW_CACHE", fc);
+    flowCacheEnabled_ = knobFlag(Knob::FlowCache, flowCacheEnabled_);
 
     // Superblock tier (host-side; cache-only mode only, see run()).
     fastpath_ = std::make_unique<FastPath>(*this);
     fastpath_->reset(prog.code().size());
-    if (const char *sb = std::getenv("CSD_SUPERBLOCK"))
-        superblockEnabled_ = parseBoolSetting("CSD_SUPERBLOCK", sb);
+    superblockEnabled_ = knobFlag(Knob::Superblock, superblockEnabled_);
 
     stats_.addCounter("instructions", &instructions_,
                       "macro-ops committed");
@@ -133,8 +130,7 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     // (which parsed CSD_LIFECYCLE* strictly) so existing harnesses
     // grow traces without code changes.
     if (params_.mode == SimMode::Detailed) {
-        const char *cpi_env = std::getenv("CSD_CPI_STACK");
-        if (cpi_env && *cpi_env && *cpi_env != '0')
+        if (knobFlag(Knob::CpiStack))
             enableCpiStack();
         const ObservabilityContext::LifecycleConfig &lc =
             obs_->lifecycleConfig();
@@ -688,74 +684,25 @@ Simulation::ipc() const
 obs::Manifest
 Simulation::buildManifest() const
 {
-    // Hash everything that defines the *simulated* run — program shape
-    // and architectural parameters — and nothing host-side (flow cache,
-    // jobs, output paths), so runs that should be comparable hash
-    // equal regardless of how they were executed.
+    // Hash everything that defines the *simulated* run — every
+    // visited parameter (SimParams::visit), the program shape and
+    // what is wired in — and nothing host-side (flow cache, jobs,
+    // output paths, the observability context), so runs that should
+    // be comparable hash equal regardless of how they were executed.
     obs::ConfigHasher h;
-    h.add("mode", params_.mode == SimMode::Detailed ? "detailed"
-                                                    : "cache_only");
-    h.add("max_instructions", params_.maxInstructions);
-    h.add("program.instructions",
-          static_cast<std::uint64_t>(prog_.code().size()));
-    h.add("program.entry", static_cast<std::uint64_t>(prog_.entry()));
-
-    const FrontEndParams &fe = params_.frontend;
-    h.add("fe.fetch_bytes", fe.fetchBytesPerCycle);
-    h.add("fe.macro_queue", fe.macroQueueEntries);
-    h.add("fe.decode_width", fe.decodeWidth);
-    h.add("fe.simple_decoders", fe.simpleDecoders);
-    h.add("fe.complex_max_uops", fe.complexDecoderMaxUops);
-    h.add("fe.msrom_width", fe.msromWidth);
-    h.add("fe.uc_enabled", static_cast<std::uint64_t>(fe.uopCacheEnabled));
-    h.add("fe.uc_sets", fe.uopCacheSets);
-    h.add("fe.uc_ways", fe.uopCacheWays);
-    h.add("fe.uc_slots", fe.uopCacheSlotsPerWay);
-    h.add("fe.uc_window", fe.uopCacheWindowBytes);
-    h.add("fe.uc_max_ways", fe.uopCacheMaxWaysPerWindow);
-    h.add("fe.uc_stream", fe.uopCacheStreamWidth);
-    h.add("fe.uc_ctx_bits",
-          static_cast<std::uint64_t>(fe.uopCacheContextBits));
-    h.add("fe.uc_switch_penalty", fe.uopCacheSwitchPenalty);
-    h.add("fe.lsd_enabled", static_cast<std::uint64_t>(fe.lsdEnabled));
-    h.add("fe.lsd_slots", fe.lsdMaxSlots);
-    h.add("fe.lsd_stream", fe.lsdStreamWidth);
-    h.add("fe.macro_fusion", static_cast<std::uint64_t>(fe.macroFusion));
-    h.add("fe.micro_fusion", static_cast<std::uint64_t>(fe.microFusion));
-    h.add("fe.sp_tracker", static_cast<std::uint64_t>(fe.spTracker));
-
-    const MemHierarchyParams &mem = params_.mem;
-    const auto cache = [&h](const char *level, const CacheParams &c) {
-        h.add(std::string(level) + ".size", c.sizeBytes);
-        h.add(std::string(level) + ".assoc", c.assoc);
-        h.add(std::string(level) + ".latency", c.hitLatency);
-    };
-    cache("mem.l1i", mem.l1i);
-    cache("mem.l1d", mem.l1d);
-    cache("mem.l2", mem.l2);
-    cache("mem.llc", mem.llc);
-    h.add("mem.dram_latency", mem.dramLatency);
-    h.add("mem.extra_l2_latency", mem.extraL2Latency);
-
-    const BackEndParams &be = params_.backend;
-    h.add("be.rob", be.robEntries);
-    h.add("be.commit_width", be.commitWidth);
-    h.add("be.dispatch_latency", be.dispatchLatency);
-    h.add("be.mispredict_resteer", be.mispredictResteer);
-    h.add("be.taken_bubble", be.takenBranchBubble);
-
-    const BranchPredParams &bp = params_.bpred;
-    h.add("bp.gshare", bp.gshareEntries);
-    h.add("bp.history", bp.historyBits);
-    h.add("bp.btb", bp.btbEntries);
-    h.add("bp.ras", bp.rasEntries);
-
-    const EnergyParams &en = params_.energy;
-    h.add("en.int_alu", en.intAluEnergy);
-    h.add("en.vec_alu", en.vecAluEnergy);
-    h.add("en.core_leakage", en.coreLeakage);
-    h.add("en.vpu_leakage", en.vpuLeakage);
-    h.add("en.header_ratio", en.headerAreaRatio);
+    h.addFields("sim", params_);
+    h.add("program.instructions", prog_.code().size());
+    h.add("program.entry", prog_.entry());
+    h.add("translator",
+          translator_ == &nativeTranslator_ ? "native"
+          : dynamic_cast<const ContextSensitiveDecoder *>(translator_)
+              ? "csd"
+              : "custom");
+    h.add("taint", taint_ != nullptr);
+    if (power_)
+        h.addFields("gating", power_->params());
+    else
+        h.add("gating", "none");
 
     obs::Manifest manifest;
     manifest.configHash = h.hex();

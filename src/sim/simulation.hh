@@ -136,9 +136,25 @@ struct SimParams
      * = the simulation creates and owns a private context inheriting
      * the constructing thread's configuration; non-null = share the
      * caller's context (e.g. DuoSimulation's two halves record one
-     * combined trace). The caller keeps ownership.
+     * combined trace). The caller keeps ownership. Host-side, so
+     * visit() leaves it out.
      */
     ObservabilityContext *obs = nullptr;
+
+    /** f(name, field) once per field. The manifest hash derives from
+     *  it; tests/sim/test_manifest.cc fails on a field left out. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        f("mode", mode);
+        f("frontend", frontend);
+        f("mem", mem);
+        f("backend", backend);
+        f("bpred", bpred);
+        f("energy", energy);
+        f("maxInstructions", maxInstructions);
+    }
 };
 
 /** One interval-sampler observation: selected stats at a cycle. */

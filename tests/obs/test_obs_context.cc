@@ -3,20 +3,19 @@
  * ObservabilityContext unit tests: configuration inheritance, thread
  * binding, per-context trace isolation (including two contexts tracing
  * concurrently on two threads — the TSan acceptance case), flush
- * hooks, %c export-path expansion, and strict setting parses.
+ * hooks, %c export-path expansion, and host-phase roll-up.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/stats.hh"
 #include "obs/context.hh"
 #include "tests/support/mini_json.hh"
@@ -257,30 +256,52 @@ TEST_F(ObsContextTest, TwoContextsTraceConcurrently)
     EXPECT_EQ(ObservabilityContext::process().tracer().size(), 0u);
 }
 
-TEST_F(ObsContextTest, MalformedSettingsAreFatalNotSilent)
+/**
+ * Host-profiler phases roll up: bench sidecars serialize the process
+ * context's profiler after every simulation (each with a private
+ * context) is gone, so a dying context must hand its phase seconds to
+ * the context it inherited from — also when that parent died first,
+ * and when --jobs workers tear children down concurrently.
+ */
+TEST_F(ObsContextTest, ChildPhasesFoldIntoParentAtTeardown)
 {
-    // The exact parses behind CSD_TRACE_CAPACITY, CSD_LIFECYCLE_CAPACITY
-    // (positive) and CSD_BENCH_JOBS / --jobs (non-negative).
-    EXPECT_THROW(parsePositiveSetting("CSD_TRACE_CAPACITY", "abc"),
-                 std::runtime_error);
-    EXPECT_THROW(parsePositiveSetting("CSD_TRACE_CAPACITY", "12abc"),
-                 std::runtime_error);
-    EXPECT_THROW(parsePositiveSetting("CSD_TRACE_CAPACITY", ""),
-                 std::runtime_error);
-    EXPECT_THROW(parsePositiveSetting("CSD_LIFECYCLE_CAPACITY", "0"),
-                 std::runtime_error);
-    EXPECT_THROW(parsePositiveSetting("CSD_LIFECYCLE_CAPACITY", "-4"),
-                 std::runtime_error);
-    EXPECT_EQ(parsePositiveSetting("CSD_TRACE_CAPACITY", "4096"), 4096u);
+    ObservabilityContext root("root");
+    root.bindToThread();
+    {
+        ObservabilityContext child("child");
+        child.profiler().add(HostPhase::Translate, 1.0);
+    }
+    EXPECT_DOUBLE_EQ(root.profiler().seconds(HostPhase::Translate), 1.0);
 
-    EXPECT_THROW(parseNonNegativeSetting("CSD_BENCH_JOBS", "-1"),
-                 std::runtime_error);
-    EXPECT_THROW(parseNonNegativeSetting("CSD_BENCH_JOBS", "two"),
-                 std::runtime_error);
-    EXPECT_THROW(parseNonNegativeSetting("--jobs", "8x"),
-                 std::runtime_error);
-    EXPECT_EQ(parseNonNegativeSetting("CSD_BENCH_JOBS", "0"), 0u);
-    EXPECT_EQ(parseNonNegativeSetting("--jobs", "8"), 8u);
+    // The middle context dies before its child: the child re-parents.
+    auto mid = std::make_unique<ObservabilityContext>("mid");
+    mid->profiler().add(HostPhase::Execute, 2.0);
+    mid->bindToThread();
+    auto leaf = std::make_unique<ObservabilityContext>("leaf");
+    mid.reset();
+    EXPECT_DOUBLE_EQ(root.profiler().seconds(HostPhase::Execute), 2.0);
+    leaf->profiler().add(HostPhase::Execute, 4.0);
+    leaf.reset();
+    EXPECT_DOUBLE_EQ(root.profiler().seconds(HostPhase::Execute), 6.0);
+
+    // Concurrent teardown (the TSan case): every child's time arrives.
+    constexpr int kWorkers = 4;
+    constexpr int kChildren = 50;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kWorkers; ++t) {
+        workers.emplace_back([&root] {
+            root.bindToThread();
+            for (int i = 0; i < kChildren; ++i) {
+                ObservabilityContext child;
+                child.profiler().add(HostPhase::Memory, 0.5);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    EXPECT_DOUBLE_EQ(root.profiler().seconds(HostPhase::Memory),
+                     0.5 * kWorkers * kChildren);
+    ObservabilityContext::process().bindToThread();
 }
 
 } // namespace
